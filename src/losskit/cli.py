@@ -18,20 +18,18 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from io import StringIO
-from itertools import product
 from pathlib import Path
 from typing import Sequence
 
 import click
 import numpy as np
 
-from .codes import CodeParams, LogicalInput, PRESETS, encode
+from .codes import CodeParams, PRESETS, encode
 from .cluster import LOSS_CASES, loss_tolerant_rotation, phi5
-from .qsim import DensityMatrix, NoiseSpec, Seed, apply_channel, fidelity_pure
-from .recovery import LossPattern, erase, execute_recovery, plan_recovery
+from .qsim import NoiseSpec, Seed, apply_channel, forced_branches
+from .recovery import _shot_sigma, recovery_sweep
 from .tomography import decompose_projector, estimate_fidelity, group_settings, simulate_counts
 
 EXPERIMENTS = ("encode", "recover", "cluster-fidelity", "oneway")
@@ -203,10 +201,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if case not in LOSS_CASES:
                 raise ConfigError("lost", f"unsupported loss case {case!r}; "
                                           f"expected photon2/photon4")
+    if cfg.experiment == "recover":
+        _recover_losses(cfg)
     if cfg.force_branch:
         bits = _branch_bits(cfg.force_branch)
         if bits is None:
             raise ConfigError("force_branch", f"expected outcome bits, got {cfg.force_branch!r}")
+        width = {"recover": total - 2, "oneway": 3}.get(cfg.experiment)
+        if width is not None and len(bits) != width:
+            raise ConfigError("force_branch", f"{cfg.experiment} branches use {width} "
+                                              f"outcome bits, got {len(bits)}")
 
 
 def _branch_bits(text: str) -> tuple[int, ...] | None:
@@ -214,6 +218,20 @@ def _branch_bits(text: str) -> tuple[int, ...] | None:
     if not cleaned or any(c not in "01" for c in cleaned):
         return None
     return tuple(int(c) for c in cleaned)
+
+
+def _recover_losses(cfg: ExperimentConfig) -> list[int]:
+    total = cfg.code_n * cfg.code_m
+    if cfg.lost in ("all", ""):
+        return list(range(total))
+    try:
+        losses = [int(tok) for tok in cfg.lost.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError("lost", f"expected qubit indices, got {cfg.lost!r}") from None
+    if not losses or len(set(losses)) != len(losses) or not all(0 <= q < total for q in losses):
+        raise ConfigError("lost", f"expected distinct qubit indices in [0, {total}), "
+                                  f"got {cfg.lost!r}")
+    return losses
 
 
 def _oneway_cases(cfg: ExperimentConfig) -> tuple[str, ...]:
@@ -325,14 +343,11 @@ def _tomography_row(cfg: ExperimentConfig, name: str, psi, rho,
 
 def run_encode(cfg: ExperimentConfig) -> list[ResultRow]:
     params = CodeParams(cfg.code_n, cfg.code_m)
-    noise = _noise(cfg)
     rows = []
     for i, name in enumerate(cfg.inputs):
         psi = encode(PRESETS[name], params)
-        rho = psi.density()
-        if not noise.is_noiseless():
-            rho = apply_channel(rho, noise, ideal=psi,
-                                interfering_pairs=_noise_pairs(cfg, name, params))
+        rho = apply_channel(psi.density(), _noise(cfg), ideal=psi,
+                            interfering_pairs=_noise_pairs(cfg, name, params))
         row = _tomography_row(cfg, name, psi, rho, i)
         rows.append(replace(row, code_n=cfg.code_n, code_m=cfg.code_m))
     return rows
@@ -340,78 +355,30 @@ def run_encode(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def run_cluster_fidelity(cfg: ExperimentConfig) -> list[ResultRow]:
     psi = phi5()
-    rho = psi.density()
-    noise = _noise(cfg)
-    if not noise.is_noiseless():
-        rho = apply_channel(rho, noise, ideal=psi,
-                            interfering_pairs=_noise_pairs(cfg, "phi5", None))
+    rho = apply_channel(psi.density(), _noise(cfg), ideal=psi,
+                        interfering_pairs=_noise_pairs(cfg, "phi5", None))
     return [_tomography_row(cfg, "phi5", psi, rho, 0)]
-
-
-def _branch_sigma(fid: float, shots: int) -> float:
-    f = min(max(fid, 0.0), 1.0)
-    if f < 1e-9 or f > 1.0 - 1e-9:  # suppress roundoff residue at the endpoints
-        return 0.0
-    return math.sqrt(f * (1.0 - f) / shots)
 
 
 def run_recover(cfg: ExperimentConfig) -> list[ResultRow]:
     params = CodeParams(cfg.code_n, cfg.code_m)
-    noise = _noise(cfg)
-    if cfg.lost in ("all", ""):
-        losses = list(range(params.total))
-    else:
-        try:
-            losses = [int(tok) for tok in cfg.lost.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError("lost", f"expected qubit indices, got {cfg.lost!r}") from None
+    losses = _recover_losses(cfg)
     forced = _branch_bits(cfg.force_branch) if cfg.force_branch else None
     rows = []
     for name in cfg.inputs:
-        inp = PRESETS[name]
-        psi = encode(inp, params)
-        rho = psi.density()
-        if not noise.is_noiseless():
-            rho = apply_channel(rho, noise, ideal=psi,
-                                interfering_pairs=_noise_pairs(cfg, name, params))
-        averages = []
-        for lost_q in losses:
-            pattern = LossPattern({lost_q})
-            try:
-                plan = plan_recovery(params, pattern)
-            except ValueError as exc:
-                raise NumericalFailure(str(exc)) from exc
-            reduced = erase(rho, pattern)
-            n_meas = len(plan.measurement_order)
-            branches = [forced] if forced is not None else list(product((0, 1), repeat=n_meas))
-            weighted = 0.0
-            var = 0.0
-            for bits in branches:
-                if len(bits) != n_meas:
-                    raise ConfigError("force_branch",
-                                      f"expected {n_meas} outcome bits, got {len(bits)}")
-                try:
-                    rec = execute_recovery(reduced, plan, reference=inp, forced=bits)
-                except ValueError:
-                    continue  # zero-probability branch
-                sigma = _branch_sigma(rec.fidelity_vs_input, cfg.shots)
-                rows.append(ResultRow(
-                    experiment="recover", input=name, code_n=cfg.code_n,
-                    code_m=cfg.code_m, lost=str(lost_q),
-                    branch="".join(str(b) for b in bits),
-                    fidelity=rec.fidelity_vs_input, sigma=sigma,
-                    shots=cfg.shots, seed=cfg.seed))
-                weighted += rec.probability * rec.fidelity_vs_input
-                var += (rec.probability * sigma) ** 2
-            if forced is None:
-                averages.append((weighted, var))
-        if forced is None and averages:
-            mean = sum(w for w, _ in averages) / len(averages)
-            sig = math.sqrt(sum(v for _, v in averages)) / len(averages)
-            rows.append(ResultRow(
-                experiment="recover", input=name, code_n=cfg.code_n,
-                code_m=cfg.code_m, branch="avg", fidelity=mean, sigma=sig,
-                shots=cfg.shots, seed=cfg.seed))
+        sweep = recovery_sweep([PRESETS[name]], params, _noise(cfg), cfg.shots, losses=losses,
+                               pairs_for=lambda _: _noise_pairs(cfg, name, params),
+                               forced=forced)
+        common = dict(experiment="recover", input=name, code_n=cfg.code_n,
+                      code_m=cfg.code_m, shots=cfg.shots, seed=cfg.seed)
+        rows.extend(ResultRow(lost=str(r.lost), branch=r.branch, fidelity=r.fidelity,
+                              sigma=r.sigma, **common) for r in sweep)
+        if forced is None:
+            cells = [[r for r in sweep if r.lost == q] for q in losses]
+            mean = sum(sum(r.probability * r.fidelity for r in c) for c in cells) / len(cells)
+            var = sum(sum((r.probability * r.sigma) ** 2 for r in c) for c in cells)
+            rows.append(ResultRow(branch="avg", fidelity=mean,
+                                  sigma=math.sqrt(var) / len(cells), **common))
     return rows
 
 
@@ -419,27 +386,18 @@ def run_oneway(cfg: ExperimentConfig) -> list[ResultRow]:
     noise = _noise(cfg)
     pairs = _noise_pairs(cfg, "phi5", None)
     forced = _branch_bits(cfg.force_branch) if cfg.force_branch else None
-    if forced is not None and len(forced) != 3:
-        raise ConfigError("force_branch", "oneway branches use 3 outcome bits")
     rows = []
     for case in _oneway_cases(cfg):
         for alpha in cfg.alphas:
-            branches = [forced] if forced is not None else list(product((0, 1), repeat=3))
-            for bits in branches:
-                try:
-                    result = loss_tolerant_rotation(
-                        case, alpha, noise if not noise.is_noiseless() else None,
-                        interfering_pairs=pairs, forced=bits)
-                except ValueError as exc:
-                    if "zero probability" in str(exc):
-                        continue
-                    raise NumericalFailure(str(exc)) from exc
-                rows.append(ResultRow(
-                    experiment="oneway", input="phi5", lost=case,
-                    branch="".join(str(b) for b in bits), alpha=alpha,
-                    fidelity=result.fidelity,
-                    sigma=_branch_sigma(result.fidelity, cfg.shots),
-                    shots=cfg.shots, seed=cfg.seed))
+            branches = forced_branches(
+                3, lambda bits: loss_tolerant_rotation(case, alpha, noise, interfering_pairs=pairs,
+                                                       forced=bits),
+                forced, where=f"loss case {case}, alpha {_fmt_number(alpha)}, ")
+            rows.extend(ResultRow(
+                experiment="oneway", input="phi5", lost=case,
+                branch="".join(str(b) for b in bits), alpha=alpha,
+                fidelity=result.fidelity, sigma=_shot_sigma(result.fidelity, cfg.shots),
+                shots=cfg.shots, seed=cfg.seed) for bits, result in branches)
     return rows
 
 

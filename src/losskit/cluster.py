@@ -24,13 +24,11 @@ so alpha in {0, -pi/2, -pi/3} produces |+>, |R>, |S>.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .codes import LogicalInput
 from .qsim import (
     DensityMatrix,
     NoiseSpec,
@@ -425,7 +423,7 @@ def loss_tolerant_rotation(lost: str, alpha: float, noise: NoiseSpec | None = No
     pattern = loss_case_pattern(lost, alpha)
     ideal = phi5()
     rho = ideal.density()
-    if noise is not None and not noise.is_noiseless():
+    if noise is not None:
         rho = apply_channel(rho, noise, ideal=ideal, interfering_pairs=interfering_pairs)
     erase_photon = LOSS_CASES[lost]["erase"]
     rho = partial_trace(rho, [erase_photon - 1])  # photon k lives on qubit k-1

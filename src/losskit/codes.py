@@ -12,7 +12,7 @@ circuit in :func:`encode_circuit_22`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

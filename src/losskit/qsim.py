@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from itertools import product
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
 ATOL = 1e-10
-EIG_FLOOR = -1e-9
 _ZERO_PROB = 1e-12
 
 _SQ2 = math.sqrt(2.0)
@@ -146,10 +146,6 @@ class DensityMatrix:
         if abs(tr - 1.0) > 1e-8:
             raise ValueError(f"density matrix has trace {tr}, expected 1")
         object.__setattr__(self, "matrix", _freeze(mat))
-
-    @classmethod
-    def from_statevector(cls, psi: StateVector) -> "DensityMatrix":
-        return psi.density()
 
     @classmethod
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
@@ -365,6 +361,10 @@ def partial_trace(rho: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(cur, t.reshape(dim, dim))
 
 
+class ZeroProbabilityBranch(ValueError):
+    """A forced measurement outcome has (numerically) zero probability."""
+
+
 class MeasurementResult(NamedTuple):
     outcome: int
     state: DensityMatrix
@@ -424,7 +424,7 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
         outcome = forced
         prob = (p0, p1)[forced]
         if prob < _ZERO_PROB:
-            raise ValueError(
+            raise ZeroProbabilityBranch(
                 f"forced outcome {forced} has zero probability ({prob:.3e})"
             )
     else:
@@ -435,6 +435,33 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
     mat = (m0, m1)[outcome] / prob
     mat = 0.5 * (mat + mat.conj().T)  # scrub roundoff asymmetry
     return MeasurementResult(outcome, DensityMatrix(rho.n_qubits - 1, mat), prob)
+
+
+def forced_branches(k: int, run: Callable[[tuple[int, ...]], object],
+                    forced: Sequence[int] | None = None, *,
+                    where: str = "") -> Iterator[tuple[tuple[int, ...], object]]:
+    """Yield ``(bits, run(bits))`` for every nonzero branch of ``k`` forced outcomes.
+
+    Branches run in ascending bit order; one whose forced outcome has zero
+    probability is skipped.  With ``forced`` only that branch runs, and a
+    zero probability raises :class:`ZeroProbabilityBranch` naming ``where``
+    and the bits.
+    """
+    if forced is not None:
+        bits = tuple(forced)
+        try:
+            result = run(bits)
+        except ZeroProbabilityBranch as exc:
+            raise ZeroProbabilityBranch(
+                f"{where}branch {''.join(map(str, bits))}: {exc}") from None
+        yield bits, result
+        return
+    for bits in product((0, 1), repeat=k):
+        try:
+            result = run(bits)
+        except ZeroProbabilityBranch:
+            continue
+        yield bits, result
 
 
 def _apply_pauli_letters_sv(psi: np.ndarray, n: int, pauli: PauliString) -> np.ndarray:
@@ -491,7 +518,8 @@ def apply_channel(rho: DensityMatrix, spec: NoiseSpec,
     declared pair the ZZ dephasing map, then the pair-source visibility map
     (a phase flip on the first member of each pair with probability (1-V)/2).
     All three maps are unital and mutually commuting, so the order is a
-    documentation choice rather than a physical one.
+    documentation choice rather than a physical one.  A noiseless ``spec``
+    returns ``rho`` itself.
     """
     n = rho.n_qubits
     if ideal is not None and ideal.n_qubits != n:
@@ -500,6 +528,8 @@ def apply_channel(rho: DensityMatrix, spec: NoiseSpec,
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValueError(f"invalid interfering pair ({i}, {j})")
+    if spec.is_noiseless():
+        return rho
     mat = np.array(rho.matrix)
     v = spec.white_noise_v
     if v < 1.0:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ from .qsim import (
     apply_channel,
     apply_pauli_word,
     fidelity_pure,
+    forced_branches,
     measure,
     partial_trace,
 )
@@ -264,41 +264,48 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
                    noise: NoiseSpec | None = None, shots: int = 10000, *,
                    losses: Sequence[int] | None = None,
                    pairs_for: Callable[[LogicalInput], Sequence[tuple[int, int]]] | None = None,
+                   forced: Sequence[int] | None = None,
                    ) -> list[SweepRow]:
     """Exhaustive branch table over (input, single lost qubit, outcome branch).
 
     Every branch is executed with forced outcomes, so each row carries the
     exact branch probability and output fidelity; ``sigma`` is the shot
     noise a ``shots``-sample estimate of that fidelity would carry.
-    Zero-probability branches are omitted.  Rows are ordered by input (as
-    given), lost qubit ascending, then branch bits lexicographically.
+    Zero-probability branches are omitted, and the kept probabilities of
+    each (input, loss) must sum to 1.  ``forced`` runs that one branch per
+    (input, loss) instead, and raises if it has zero probability.  Rows are
+    ordered by input (as given), loss (as given, default ascending), then
+    branch bits lexicographically.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     loss_positions = list(losses) if losses is not None else list(range(params.total))
     rows: list[SweepRow] = []
     for inp in inputs:
+        name = inp.name or "custom"
         psi = encode(inp, params)
         rho = psi.density()
-        if noise is not None and not noise.is_noiseless():
+        if noise is not None:
             pairs = tuple(pairs_for(inp)) if pairs_for is not None else ()
             rho = apply_channel(rho, noise, ideal=psi, interfering_pairs=pairs)
         for lost_q in loss_positions:
             pattern = LossPattern({lost_q})
             plan = plan_recovery(params, pattern)
             reduced = erase(rho, pattern)
-            n_meas = len(plan.measurement_order)
-            for bits in product((0, 1), repeat=n_meas):
-                try:
-                    rec = execute_recovery(reduced, plan, reference=inp, forced=bits)
-                except ValueError:
-                    continue  # zero-probability branch
-                rows.append(SweepRow(
-                    input_name=inp.name or "custom",
-                    lost=lost_q,
-                    branch="".join(str(b) for b in bits),
-                    probability=rec.probability,
-                    fidelity=rec.fidelity_vs_input,
-                    sigma=_shot_sigma(rec.fidelity_vs_input, shots),
-                ))
+            branches = list(forced_branches(
+                len(plan.measurement_order),
+                lambda bits: execute_recovery(reduced, plan, reference=inp, forced=bits),
+                forced, where=f"input {name}, lost qubit {lost_q}, "))
+            total = sum(rec.probability for _, rec in branches)
+            if forced is None and abs(total - 1.0) > 1e-9:
+                raise ValueError(f"input {name}, lost qubit {lost_q}: branch "
+                                 f"probabilities sum to {total:.12g}, not 1")
+            rows.extend(SweepRow(
+                input_name=name,
+                lost=lost_q,
+                branch="".join(str(b) for b in bits),
+                probability=rec.probability,
+                fidelity=rec.fidelity_vs_input,
+                sigma=_shot_sigma(rec.fidelity_vs_input, shots),
+            ) for bits, rec in branches)
     return rows

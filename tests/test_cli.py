@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 
 from losskit.cli import (
     CSV_COLUMNS,
+    ConfigError,
     ExperimentConfig,
     main,
     parse_config,
@@ -64,6 +66,25 @@ class TestConfigParsing:
         cfg = ExperimentConfig(experiment="oneway", lost="photon3")
         with pytest.raises(Exception, match="lost"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("experiment, text, field", [
+        ("recover", "lost = 9\n", "lost"),          # (2, 2) has qubits 0..3
+        ("recover", "lost = -1\n", "lost"),
+        ("recover", "lost = 1,1\n", "lost"),
+        ("recover", "lost = photon2\n", "lost"),
+        ("recover", "force_branch = 010\n", "force_branch"),   # (2, 2) measures 2 qubits
+        ("recover", "code_n = 3\ncode_m = 2\nforce_branch = 01\n", "force_branch"),
+        ("oneway", "force_branch = 01\n", "force_branch"),
+        ("oneway", "force_branch = 0101\n", "force_branch"),
+    ])
+    def test_lost_and_branch_width_checked_up_front(self, tmp_path, experiment, text, field):
+        cfg = write_cfg(tmp_path, "bad.cfg", "inputs = V\nshots = 10\n" + text)
+        result = run_cli([experiment, "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert f"config field '{field}'" in result.output
+        parsed = replace(parse_config(cfg), experiment=experiment)
+        with pytest.raises(ConfigError, match=field):   # caught before any runner starts
+            validate_config(parsed)
 
 
 class TestEncodeCommand:
@@ -129,6 +150,16 @@ class TestRecoverCommand:
         assert rows[0][4] == "0" and rows[0][5] == "10"
         assert rows[0][7] == "1.000000000"
 
+    def test_zero_probability_forced_branch_exits_3(self, tmp_path):
+        # in the noiseless (3, 2) code the two Z outcomes of block 1 agree,
+        # so branch 0100 after losing qubit 0 never happens
+        cfg = write_cfg(tmp_path, "r.cfg",
+                        "inputs = V\ncode_n = 3\ncode_m = 2\nlost = 0\nshots = 10\n")
+        result = run_cli(["recover", "--config", cfg, "--force-branch", "0100"])
+        assert result.exit_code == 3, result.output
+        assert "input V, lost qubit 0, branch 0100" in result.output
+        assert "zero probability" in result.output
+
     def test_white_noise_averages(self, tmp_path):
         cfg = write_cfg(tmp_path, "r.cfg",
                         "inputs = V,PLUS,R\nnoise_v = 0.55\nshots = 100\nseed = 7\n")
@@ -189,6 +220,16 @@ class TestOutputContracts:
                           "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert out.read_bytes() == (DATA_DIR / "golden_recover.csv").read_bytes()
+
+    def test_second_golden_file(self, tmp_path):
+        # noiseless (3, 2) recover sweep (pruned branches) + noisy oneway run
+        outs = [tmp_path / "recover.csv", tmp_path / "oneway.csv"]
+        for cmd, cfg, out in (("recover", "golden_recover_32.cfg", outs[0]),
+                              ("oneway", "golden_recover_32_oneway.cfg", outs[1])):
+            result = run_cli([cmd, "--config", str(DATA_DIR / cfg), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        got = b"".join(out.read_bytes() for out in outs)
+        assert got == (DATA_DIR / "golden_recover_32.csv").read_bytes()
 
     def test_schema_and_config_echo(self, tmp_path):
         cfg = write_cfg(tmp_path, "r.cfg", "inputs = V\nshots = 100\nseed = 1\n")

@@ -17,11 +17,13 @@ from losskit.qsim import (
     PauliString,
     Seed,
     StateVector,
+    ZeroProbabilityBranch,
     apply_channel,
     apply_gate,
     basis_vectors,
     expectation,
     fidelity_pure,
+    forced_branches,
     measure,
     partial_trace,
     rz_matrix,
@@ -159,6 +161,8 @@ class TestMeasure:
     def test_forced_zero_probability_raises(self):
         with pytest.raises(ValueError, match="zero probability"):
             measure(StateVector.basis_state(1, 0).density(), 0, "z", forced=1)
+        with pytest.raises(ZeroProbabilityBranch):
+            measure(StateVector.basis_state(1, 0).density(), 0, "z", forced=1)
 
     def test_outcome_probabilities_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -181,6 +185,36 @@ class TestMeasure:
         x0, x1 = basis_vectors("x")
         np.testing.assert_allclose(b0, x0)
         np.testing.assert_allclose(b1, x1)
+
+
+class TestForcedBranches:
+    @staticmethod
+    def run_bell(bits):
+        # Z-measure both halves of a Bell pair: branches 01 and 10 never occur
+        state, prob = bell_phi_plus().density(), 1.0
+        for b in bits:
+            _, state, p = measure(state, 0, "z", forced=b)
+            prob *= p
+        return prob
+
+    def test_ascending_order_skips_zero_probability(self):
+        got = list(forced_branches(2, self.run_bell))
+        assert [bits for bits, _ in got] == [(0, 0), (1, 1)]
+        assert [p for _, p in got] == pytest.approx([0.5, 0.5])
+
+    def test_forced_branch_runs_alone(self):
+        assert list(forced_branches(2, self.run_bell, (1, 1))) == [((1, 1), pytest.approx(0.5))]
+
+    def test_forced_zero_probability_propagates_with_context(self):
+        with pytest.raises(ZeroProbabilityBranch, match="pair A, branch 01: forced outcome 1"):
+            list(forced_branches(2, self.run_bell, [0, 1], where="pair A, "))
+
+    def test_other_errors_propagate(self):
+        def broken(bits):
+            raise ValueError("not a zero-probability branch")
+
+        with pytest.raises(ValueError, match="not a zero-probability"):
+            list(forced_branches(1, broken))
 
 
 class TestExpectationAndFidelity:
@@ -244,7 +278,7 @@ class TestChannels:
         rng = np.random.default_rng(9)
         rho = random_state(rng, 3).density()
         out = apply_channel(rho, NoiseSpec(), interfering_pairs=[(0, 1)])
-        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
+        assert out is rho
 
     def test_full_depolarization(self):
         rng = np.random.default_rng(10)

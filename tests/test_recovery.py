@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from losskit.codes import CodeParams, LogicalInput, PRESETS, encode
-from losskit.qsim import DensityMatrix, NoiseSpec, Seed, StateVector, apply_channel, apply_gate, fidelity_pure
+from losskit import recovery
+from losskit.qsim import (DensityMatrix, NoiseSpec, Seed, StateVector, ZeroProbabilityBranch,
+                          apply_channel, apply_gate, fidelity_pure)
 from losskit.recovery import (
     LossPattern,
     best_effort_plan,
@@ -275,3 +277,30 @@ class TestRecoverySweep:
             by_loss[row.lost] += row.probability
         for total in by_loss.values():
             assert abs(total - 1.0) < 1e-10
+
+    def test_forced_branch_single_row_per_loss(self):
+        rows = recovery_sweep([PRESETS["R"]], P22, NoiseSpec(white_noise_v=0.6),
+                              shots=100, forced=(1, 0))
+        assert [(r.lost, r.branch) for r in rows] == [(q, "10") for q in range(4)]
+        assert all(abs(r.fidelity - 0.8) < 1e-10 for r in rows)
+
+    def test_forced_zero_probability_branch_names_input_loss_and_bits(self):
+        # noiseless (3, 2): the Z outcomes of block 1 agree, so 0100 never occurs
+        with pytest.raises(ZeroProbabilityBranch, match="input V, lost qubit 0, branch 0100"):
+            recovery_sweep([PRESETS["V"]], CodeParams(3, 2), losses=[0], forced=(0, 1, 0, 0))
+
+    def test_plain_value_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("broken branch")
+
+        monkeypatch.setattr(recovery, "execute_recovery", broken)
+        with pytest.raises(ValueError, match="broken branch"):
+            recovery_sweep([PRESETS["V"]], P22)
+
+    def test_probabilities_must_sum_to_one(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise ZeroProbabilityBranch("forced outcome 0 has zero probability")
+
+        monkeypatch.setattr(recovery, "execute_recovery", never)
+        with pytest.raises(ValueError, match="input PLUS, lost qubit 2: branch probabilities"):
+            recovery_sweep([PRESETS["PLUS"]], P22, losses=[2])
