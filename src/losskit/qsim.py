@@ -13,6 +13,14 @@ Conventions used throughout the package:
 All state objects are immutable; every operation returns a new value, so
 values can be shared freely across threads.  Randomized operations take an
 explicit ``numpy.random.Generator`` (usually derived from :class:`Seed`).
+
+Validation happens once, at the boundary.  The public ``StateVector(...)``
+and ``DensityMatrix(...)`` constructors copy their input and check its
+shape, normalization and (for density matrices) Hermiticity and trace.
+Density matrices returned by this module's operations (``density``,
+``apply_gate``, ``partial_trace``, ``measure``, ``apply_channel``) are
+Hermitian by construction; they skip the copy and the O(d^2) Hermiticity
+check and keep only the O(d) trace check.
 """
 
 from __future__ import annotations
@@ -120,12 +128,19 @@ class StateVector:
                            np.kron(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix._trusted(self.n_qubits,
+                                      np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def inner(self, other: "StateVector") -> complex:
         if other.n_qubits != self.n_qubits:
             raise ValueError("qubit counts differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+
+def _check_trace(mat: np.ndarray) -> None:
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > 1e-8:
+        raise ValueError(f"density matrix has trace {tr}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -142,10 +157,21 @@ class DensityMatrix:
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
         if not np.allclose(mat, mat.conj().T, atol=1e-8):
             raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-8:
-            raise ValueError(f"density matrix has trace {tr}, expected 1")
+        _check_trace(mat)
         object.__setattr__(self, "matrix", _freeze(mat))
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, mat: np.ndarray) -> "DensityMatrix":
+        """Wrap a fresh ``mat`` that is Hermitian by construction, without a copy.
+
+        The caller hands over ownership: ``mat`` is frozen in place.  Only
+        the trace is checked.
+        """
+        _check_trace(mat)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "n_qubits", n_qubits)
+        object.__setattr__(rho, "matrix", _freeze(mat))
+        return rho
 
     @classmethod
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
@@ -325,7 +351,7 @@ def apply_gate(state: State, gate: str, targets: Sequence[int], *,
     t = state.matrix.reshape((2,) * (2 * n))
     t = _apply_on_axes(t, u, targets)
     t = _apply_on_axes(t, u.conj(), [n + q for q in targets])
-    return DensityMatrix(n, t.reshape(2 ** n, 2 ** n))
+    return DensityMatrix._trusted(n, t.reshape(2 ** n, 2 ** n))
 
 
 def _n_qubits(state: State) -> int:
@@ -358,7 +384,7 @@ def partial_trace(rho: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
         t = np.trace(t, axis1=q, axis2=q + cur)
         cur -= 1
     dim = 2 ** cur
-    return DensityMatrix(cur, t.reshape(dim, dim))
+    return DensityMatrix._trusted(cur, t.reshape(dim, dim))
 
 
 class ZeroProbabilityBranch(ValueError):
@@ -434,7 +460,7 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
         prob = (p0, p1)[outcome]
     mat = (m0, m1)[outcome] / prob
     mat = 0.5 * (mat + mat.conj().T)  # scrub roundoff asymmetry
-    return MeasurementResult(outcome, DensityMatrix(rho.n_qubits - 1, mat), prob)
+    return MeasurementResult(outcome, DensityMatrix._trusted(rho.n_qubits - 1, mat), prob)
 
 
 def forced_branches(k: int, run: Callable[[tuple[int, ...]], object],
@@ -530,10 +556,11 @@ def apply_channel(rho: DensityMatrix, spec: NoiseSpec,
             raise ValueError(f"invalid interfering pair ({i}, {j})")
     if spec.is_noiseless():
         return rho
-    mat = np.array(rho.matrix)
     v = spec.white_noise_v
+    mat = v * rho.matrix
     if v < 1.0:
-        mat = v * mat + (1.0 - v) * np.eye(2 ** n, dtype=complex) / 2 ** n
+        diagonal = mat.reshape(-1)[:: 2 ** n + 1]
+        diagonal += (1.0 - v) / 2 ** n
     if spec.pair_dephasing_d > 0.0:
         for i, j in pairs:
             mat = _conjugate_mix(mat, n, spec.pair_dephasing_d, {i: "Z", j: "Z"})
@@ -541,4 +568,4 @@ def apply_channel(rho: DensityMatrix, spec: NoiseSpec,
         flip = (1.0 - spec.epr_visibility) / 2.0
         for i, _ in pairs:
             mat = _conjugate_mix(mat, n, flip, {i: "Z"})
-    return DensityMatrix(n, mat)
+    return DensityMatrix._trusted(n, mat)

@@ -293,6 +293,31 @@ def _coherence_families(decomp: PauliDecomposition) -> list[_Family]:
     return [f for f in families if f is not None]
 
 
+def _greedy_pauli_cover(n: int, targets: Sequence[PauliString]) -> list[tuple[str, ...]]:
+    """Pauli settings covering ``targets``, largest fresh coverage first.
+
+    ``compatible[s, t]`` says whether setting s (in ``product("XYZ")`` order,
+    which is lexicographic) measures target t, so ``argmax`` of the fresh
+    coverage picks the lexicographically smallest of the best settings.
+    """
+    settings = np.array(list(product(range(3), repeat=n)), dtype=np.int8)
+    letters = np.array([["IXYZ".index(c) - 1 for c in p.letters] for p in targets],
+                       dtype=np.int8).reshape(-1, n)   # -1 for I
+    compatible = np.ones((len(settings), len(targets)), dtype=bool)
+    for q in range(n):
+        compatible &= (settings[:, q, None] == letters[:, q]) | (letters[:, q] < 0)
+    live = np.ones(len(targets), dtype=bool)
+    picks = []
+    while live.any():
+        fresh = np.count_nonzero(compatible[:, live], axis=1)
+        best = int(np.argmax(fresh))
+        if fresh[best] == 0:
+            raise RuntimeError("greedy cover failed to progress")  # pragma: no cover
+        picks.append(tuple("XYZ"[i] for i in settings[best]))
+        live &= ~compatible[best]
+    return picks
+
+
 def group_settings(decomp: PauliDecomposition) -> list[Setting]:
     """Deterministic measurement settings covering every non-identity term.
 
@@ -320,19 +345,8 @@ def group_settings(decomp: PauliDecomposition) -> list[Setting]:
                 chosen.setdefault(part.bases, (part.sign, part.scale, fam.indices))
 
     remaining = [p for p in targets if not any(_compatible(p, b) for b in chosen)]
-    while remaining:
-        best: tuple[int, tuple[str, ...]] | None = None
-        best_new = 0
-        for tokens in product("XYZ", repeat=n):
-            new = sum(1 for p in remaining if _compatible(p, tokens))
-            if new > best_new or (new == best_new and best is not None and tokens < best[1]):
-                best = (new, tokens)
-                best_new = new
-        if best is None or best_new == 0:
-            raise RuntimeError("greedy cover failed to progress")  # pragma: no cover
-        tokens = best[1]
+    for tokens in _greedy_pauli_cover(n, remaining):
         chosen[tokens] = (0, 0.0, ())
-        remaining = [p for p in remaining if not _compatible(p, tokens)]
 
     settings = []
     for bases in sorted(chosen):

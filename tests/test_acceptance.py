@@ -292,3 +292,22 @@ def test_cli_determinism_and_golden_schema(tmp_path):
     ok = identical and matches_golden and schema_ok
     assert report("CLI determinism: byte-identical reruns and golden schema", ok,
                   f"identical={identical}, golden={matches_golden}, schema={schema_ok}")
+
+
+def test_recover_at_the_twelve_qubit_cap(tmp_path):
+    # (2, 6), lost 0, branch 0..0: the 5 intact blocks and the one X-measured
+    # survivor give the pure branch p = 2^-6 and the mixed part q = 2^-10 of
+    # its 10 bits, so F = (v p + (1 - v) q / 2) / (v p + (1 - v) q) = 0.996551724.
+    v, p, q = 0.9, 2.0 ** -6, 2.0 ** -10
+    expected = (v * p + (1 - v) * q / 2) / (v * p + (1 - v) * q)
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("inputs = R\ncode_n = 2\ncode_m = 6\nlost = 0\n"
+                   "force_branch = 0000000000\nnoise_v = 0.9\nshots = 1000\nseed = 1\n")
+    out = tmp_path / "cap.csv"
+    result = CliRunner().invoke(cli_main, ["recover", "--config", str(cfg), "--out", str(out)])
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln.startswith("recover,")] if result.exit_code == 0 else []
+    fidelity = float(rows[0][CSV_COLUMNS.index("fidelity")]) if len(rows) == 1 else math.nan
+    ok = abs(fidelity - expected) <= PROTOCOL_TOL
+    assert report("recover at the 12-qubit cap matches the closed form", ok,
+                  f"exit {result.exit_code}, F = {fidelity:.9f}, expected {expected:.9f}")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from losskit.qsim import (
     CNOT_MATRIX,
@@ -43,6 +44,96 @@ def bell_phi_plus():
 def random_state(rng, n):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return StateVector.from_amplitudes(amps, normalize=True)
+
+
+class TestDensityMatrixBoundary:
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            DensityMatrix(2, np.eye(2) / 2)
+
+    def test_non_hermitian_raises(self):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[0, 1] = 1e-7   # 1e-7 away from its Hermitian conjugate
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(1, mat)
+
+    def test_trace_not_one_raises(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(2, np.eye(4))
+
+    def test_caller_array_is_copied(self):
+        mat = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(1, mat)
+        mat[0, 0] = 0.9
+        mat[0, 1] = 0.3
+        np.testing.assert_array_equal(rho.matrix, np.eye(2) / 2)
+        assert not rho.matrix.flags.writeable
+
+
+INVARIANTS = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+@st.composite
+def pure_states(draw, min_qubits=2):
+    n = draw(st.integers(min_qubits, 6))
+    return random_state(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n)
+
+
+def check_internal_result(op, source):
+    """``op()`` gives a fresh, frozen, Hermitian trace-one state and leaves ``source`` as it was."""
+    before = source.copy()
+    mat = op().matrix
+    assert not mat.flags.writeable
+    assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
+    assert abs(np.trace(mat) - 1) <= 1e-10
+    assert not np.shares_memory(mat, source)
+    np.testing.assert_array_equal(source, before)
+
+
+class TestInternalResults:
+    """Internal results skip the Hermiticity check, so it is asserted here."""
+
+    @INVARIANTS
+    @given(pure_states(min_qubits=1))
+    def test_density(self, psi):
+        check_internal_result(psi.density, psi.amplitudes)
+
+    @INVARIANTS
+    @given(pure_states(), st.sampled_from(["H", "X", "Y", "Z", "RZ", "CNOT", "CZ"]),
+           st.data())
+    def test_apply_gate(self, psi, gate, data):
+        rho = psi.density()
+        arity = 2 if gate in ("CNOT", "CZ") else 1
+        targets = data.draw(st.permutations(range(psi.n_qubits)))[:arity]
+        alpha = data.draw(st.floats(-4, 4))
+        check_internal_result(lambda: apply_gate(rho, gate, targets, alpha=alpha), rho.matrix)
+
+    @INVARIANTS
+    @given(pure_states(), st.data())
+    def test_partial_trace(self, psi, data):
+        rho = psi.density()
+        order = data.draw(st.permutations(range(psi.n_qubits)))
+        discard = order[:data.draw(st.integers(1, psi.n_qubits - 1))]
+        check_internal_result(lambda: partial_trace(rho, discard), rho.matrix)
+
+    @INVARIANTS
+    @given(pure_states(), st.sampled_from(["z", "x", "b"]), st.integers(0, 1), st.data())
+    def test_forced_measure(self, psi, basis, forced, data):
+        rho = psi.density()
+        qubit = data.draw(st.integers(0, psi.n_qubits - 1))
+        alpha = data.draw(st.floats(-4, 4))
+        check_internal_result(
+            lambda: measure(rho, qubit, basis, alpha=alpha, forced=forced).state, rho.matrix)
+
+    @INVARIANTS
+    @given(pure_states(), st.floats(0, 0.999), st.floats(0, 1), st.floats(0, 1), st.data())
+    def test_noisy_channel(self, psi, v, d, visibility, data):
+        rho = psi.density()
+        order = data.draw(st.permutations(range(psi.n_qubits)))
+        pairs = [(order[0], order[1])]
+        spec = NoiseSpec(v, d, visibility)
+        check_internal_result(lambda: apply_channel(rho, spec, interfering_pairs=pairs),
+                              rho.matrix)
 
 
 class TestGates:

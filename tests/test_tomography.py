@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from losskit import tomography
 from losskit.codes import CodeParams, PRESETS, encode
 from losskit.cluster import phi5
 from losskit.qsim import (DensityMatrix, NoiseSpec, PauliString, Seed, StateVector,
@@ -123,6 +124,55 @@ class TestGroupSettings:
                 _, pauli = decomp.terms[idx]
                 for letter, basis in zip(pauli.letters, setting.bases):
                     assert letter == "I" or letter == basis
+
+
+def reference_greedy_cover(n, targets):
+    """The greedy cover as a plain loop: every Pauli setting against every target."""
+    def compatible(support, tokens):
+        return all(tokens[q] == c for q, c in support)
+
+    remaining = [[(q, c) for q, c in enumerate(p.letters) if c != "I"] for p in targets]
+    picks = []
+    while remaining:
+        best, best_new = None, 0
+        for tokens in product("XYZ", repeat=n):
+            new = sum(1 for p in remaining if compatible(p, tokens))
+            if new > best_new:   # ascending order: the first maximum is the smallest
+                best, best_new = tokens, new
+        picks.append(best)
+        remaining = [p for p in remaining if not compatible(p, best)]
+    return picks
+
+
+def _greedy_cases():
+    cases = {}
+    for n, m in [(n, m) for n in range(2, 7) for m in range(1, 4) if n * m <= 6]:
+        for name in sorted(PRESETS):
+            cases[f"{name}-{n}x{m}"] = lambda name=name, n=n, m=m: encode(
+                PRESETS[name], CodeParams(n, m))
+    cases["phi5"] = phi5
+    for n, seed in ((2, 1), (3, 2), (4, 3), (4, 4)):
+        cases[f"random{n}-{seed}"] = lambda n=n, seed=seed: random_state(
+            np.random.default_rng(seed), n)
+    return cases
+
+
+GREEDY_CASES = _greedy_cases()
+
+
+class TestGreedyCover:
+    @pytest.mark.parametrize("name", sorted(GREEDY_CASES))
+    def test_matches_reference_loop(self, name, monkeypatch):
+        decomp = decompose_projector(GREEDY_CASES[name]())
+        settings = group_settings(decomp)
+        monkeypatch.setattr(tomography, "_greedy_pauli_cover", reference_greedy_cover)
+        assert group_settings(decomp) == settings
+
+    def test_pick_order_matches_reference_loop(self):
+        decomp = decompose_projector(random_state(np.random.default_rng(5), 4))
+        targets = [p for _, p in decomp.terms if p.weight > 0]
+        picks = tomography._greedy_pauli_cover(4, targets)
+        assert picks == reference_greedy_cover(4, targets)
 
 
 class TestSimulateCounts:
