@@ -258,14 +258,21 @@ class PatternStep:
 
 @dataclass(frozen=True)
 class MeasurementPattern:
-    """Ordered adaptive measurements plus the output qubit's byproduct frame."""
+    """Ordered adaptive measurements plus the output qubit's byproduct frame.
+
+    The frame is Z^z X^x from the listed outcome parities, applied Z first;
+    ``output_gate = "H"`` applies a fixed Hadamard after it.
+    """
 
     steps: tuple[PatternStep, ...]
     output: Vertex
     output_x_from: tuple = ()
     output_z_from: tuple = ()
+    output_gate: str = ""
 
     def __post_init__(self) -> None:
+        if self.output_gate not in ("", "H"):
+            raise ValueError(f"unknown output gate {self.output_gate!r}")
         seen: set = set()
         for step in self.steps:
             if step.qubit in seen:
@@ -314,7 +321,9 @@ def run_pattern(state: DensityMatrix, pattern: MeasurementPattern,
     ``labels`` gives the vertex label of each qubit in order.  ``forced``
     selects outcome bits in step order.  Pre-corrections X^x Z^z derived from
     earlier outcomes are applied before each measurement; the output qubit
-    receives its byproduct frame at the end.
+    receives its byproduct frame and then the output gate at the end.  The
+    result's ``byproduct`` names the applied word, leftmost applied last
+    (``HXZ``: Z, then X, then H).
     """
     current = list(labels)
     if state.n_qubits != len(current):
@@ -350,6 +359,9 @@ def run_pattern(state: DensityMatrix, pattern: MeasurementPattern,
     if _parity(outcomes, pattern.output_x_from):
         state = apply_gate(state, "X", [out_idx])
         byproduct = "X" + byproduct
+    if pattern.output_gate:
+        state = apply_gate(state, pattern.output_gate, [out_idx])
+        byproduct = pattern.output_gate + byproduct
     if len(current) > 1:
         state = partial_trace(state, [q for q in range(len(current)) if q != out_idx])
     fid = fidelity_pure(target, state) if target is not None else None

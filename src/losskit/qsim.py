@@ -358,15 +358,6 @@ def _n_qubits(state: State) -> int:
     return state.n_qubits
 
 
-def apply_pauli_word(state: State, word: str, qubit: int) -> State:
-    """Apply an operator word over {H, X, Y, Z} to one qubit, rightmost first."""
-    for letter in reversed(word):
-        if letter == "I":
-            continue
-        state = apply_gate(state, letter, [qubit])
-    return state
-
-
 def partial_trace(rho: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
     """Trace out the listed qubits; survivors keep their relative order."""
     discard = sorted(set(discard))
@@ -441,14 +432,12 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
     """
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {rho.n_qubits} qubits")
-    b0, b1 = basis_vectors(basis, alpha)
-    m0, p0 = _project_out(rho, qubit, b0)
-    m1, p1 = _project_out(rho, qubit, b1)
+    kets = basis_vectors(basis, alpha)
     if forced is not None:
         if forced not in (0, 1):
             raise ValueError("forced outcome must be 0 or 1")
         outcome = forced
-        prob = (p0, p1)[forced]
+        mat, prob = _project_out(rho, qubit, kets[forced])
         if prob < _ZERO_PROB:
             raise ZeroProbabilityBranch(
                 f"forced outcome {forced} has zero probability ({prob:.3e})"
@@ -456,9 +445,11 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
     else:
         if rng is None:
             raise ValueError("measure needs either an rng or a forced outcome")
+        m0, p0 = _project_out(rho, qubit, kets[0])
+        m1, p1 = _project_out(rho, qubit, kets[1])
         outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
-        prob = (p0, p1)[outcome]
-    mat = (m0, m1)[outcome] / prob
+        mat, prob = (m0, m1)[outcome], (p0, p1)[outcome]
+    mat = mat / prob
     mat = 0.5 * (mat + mat.conj().T)  # scrub roundoff asymmetry
     return MeasurementResult(outcome, DensityMatrix._trusted(rho.n_qubits - 1, mat), prob)
 

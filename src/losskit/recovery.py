@@ -1,48 +1,32 @@
 """Detected-loss erasure, recoverability, and feedforward recovery plans.
 
 A detected loss is modeled as a partial trace: the position is known, the
-polarization is not.  Recovery measures every surviving qubit except one
-target and applies a correction word from {H, X, Z} keyed on two parity
-bits:
+polarization is not.  Recovery is a one-way measurement pattern on the
+survivors: it measures every surviving qubit except one target, and the
+feedforward word is the pattern's output frame on the target:
 
 - every non-target block is removed by Z-measuring all of its survivors;
   each such block contributes one representative outcome (its survivors are
-  perfectly correlated in the noiseless code) and the XOR of representatives
-  is the z-parity;
+  perfectly correlated in the noiseless code), and the representatives feed
+  the X of the frame;
 - the target block is collapsed onto the target qubit by X-measuring its
-  other qubits; the XOR of those outcomes is the x-parity;
-- the correction word is H * X^z_parity * Z^x_parity, applied rightmost
-  first, which reproduces the (2, 2) single-loss feedforward table
-  {(0,0): H, (1,0): HX, (0,1): HZ, (1,1): HXZ}.
+  other qubits, and those outcomes feed the Z of the frame;
+- the frame applies Z, then X, then the fixed output gate H, which
+  reproduces the (2, 2) single-loss feedforward table
+  {(0,0): H, (1,0): HX, (0,1): HZ, (1,1): HXZ} keyed on (z-parity, x-parity).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .cluster import MeasurementPattern, OneWayResult, PatternStep, run_pattern
 from .codes import CodeParams, LogicalInput, encode
-from .qsim import (
-    DensityMatrix,
-    NoiseSpec,
-    StateVector,
-    apply_channel,
-    apply_pauli_word,
-    fidelity_pure,
-    forced_branches,
-    measure,
-    partial_trace,
-)
-
-CORRECTION_TABLE: dict[tuple[int, int], str] = {
-    (0, 0): "H",
-    (1, 0): "HX",
-    (0, 1): "HZ",
-    (1, 1): "HXZ",
-}
+from .qsim import DensityMatrix, NoiseSpec, apply_channel, forced_branches, partial_trace
 
 
 @dataclass(frozen=True)
@@ -62,7 +46,7 @@ class LossPattern:
 
 @dataclass(frozen=True)
 class RecoveryPlan:
-    """Measurement schedule and correction table for a given loss pattern.
+    """Measurement schedule for a given loss pattern.
 
     ``z_measurements`` lists the Z-measured qubits in execution order,
     grouped per block in ``z_blocks`` for parity bookkeeping;
@@ -74,7 +58,6 @@ class RecoveryPlan:
     z_measurements: tuple[int, ...]
     x_measurements: tuple[int, ...]
     target: int
-    correction_table: dict[tuple[int, int], str] = field(default_factory=lambda: dict(CORRECTION_TABLE))
     z_blocks: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
@@ -95,16 +78,17 @@ class RecoveryPlan:
     def survivors(self) -> tuple[int, ...]:
         return tuple(sorted(set(range(self.params.total)) - self.pattern.lost))
 
-
-@dataclass(frozen=True)
-class RecoveryRecord:
-    """One executed recovery branch."""
-
-    outcomes: dict[int, int]
-    correction_applied: str
-    output: DensityMatrix
-    fidelity_vs_input: float | None
-    probability: float
+    @property
+    def measurement_pattern(self) -> MeasurementPattern:
+        """The plan as a one-way pattern: Z steps, X steps, then the H X^z Z^x frame."""
+        return MeasurementPattern(
+            steps=tuple(PatternStep(q, "z") for q in self.z_measurements)
+            + tuple(PatternStep(q, "x") for q in self.x_measurements),
+            output=self.target,
+            output_x_from=tuple(block[0] for block in self.z_blocks),
+            output_z_from=self.x_measurements,
+            output_gate="H",
+        )
 
 
 def erase(rho: DensityMatrix, pattern: LossPattern) -> DensityMatrix:
@@ -188,56 +172,21 @@ def best_effort_plan(params: CodeParams, pattern: LossPattern,
     return _build_plan(params, pattern, target, intact)
 
 
-def _reference_state(reference: LogicalInput | StateVector | None) -> StateVector | None:
-    if reference is None:
-        return None
-    if isinstance(reference, LogicalInput):
-        return reference.statevector()
-    if reference.n_qubits != 1:
-        raise ValueError("reference must be a single-qubit state")
-    return reference
-
-
 def execute_recovery(rho: DensityMatrix, plan: RecoveryPlan, *,
-                     reference: LogicalInput | StateVector | None = None,
+                     reference: LogicalInput | None = None,
                      forced: Sequence[int] | None = None,
-                     rng: np.random.Generator | None = None) -> RecoveryRecord:
-    """Run the plan's measurements on the post-loss state and correct the target.
+                     rng: np.random.Generator | None = None) -> OneWayResult:
+    """Run the plan's measurement pattern on the post-loss state.
 
     ``rho`` must hold exactly the surviving qubits, ascending by original
     index.  ``forced`` selects outcome bits in plan order (all Z
     measurements, then all X measurements); otherwise outcomes are sampled
-    from ``rng``.
+    from ``rng``.  The result's ``byproduct`` is the feedforward word and
+    its ``fidelity`` is taken against ``reference``.
     """
-    labels = list(plan.survivors)
-    if rho.n_qubits != len(labels):
-        raise ValueError(
-            f"state has {rho.n_qubits} qubits but the plan expects {len(labels)} survivors"
-        )
-    order = plan.measurement_order
-    if forced is not None and len(forced) != len(order):
-        raise ValueError(f"expected {len(order)} forced outcomes, got {len(forced)}")
-    outcomes: dict[int, int] = {}
-    probability = 1.0
-    state = rho
-    for i, qubit in enumerate(order):
-        basis = "z" if i < len(plan.z_measurements) else "x"
-        want = forced[i] if forced is not None else None
-        out, state, p = measure(state, labels.index(qubit), basis, forced=want, rng=rng)
-        labels.remove(qubit)
-        outcomes[qubit] = out
-        probability *= p
-    z_parity = 0
-    for block in plan.z_blocks:
-        z_parity ^= outcomes[block[0]]
-    x_parity = 0
-    for qubit in plan.x_measurements:
-        x_parity ^= outcomes[qubit]
-    word = plan.correction_table[(z_parity, x_parity)]
-    state = apply_pauli_word(state, word, labels.index(plan.target))
-    ref = _reference_state(reference)
-    fid = fidelity_pure(ref, state) if ref is not None else None
-    return RecoveryRecord(outcomes, word, state, fid, probability)
+    target = reference.statevector() if reference is not None else None
+    return run_pattern(rho, plan.measurement_pattern, plan.survivors,
+                       forced=forced, rng=rng, target=target)
 
 
 @dataclass(frozen=True)
@@ -296,7 +245,7 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
                 len(plan.measurement_order),
                 lambda bits: execute_recovery(reduced, plan, reference=inp, forced=bits),
                 forced, where=f"input {name}, lost qubit {lost_q}, "))
-            total = sum(rec.probability for _, rec in branches)
+            total = sum(res.probability for _, res in branches)
             if forced is None and abs(total - 1.0) > 1e-9:
                 raise ValueError(f"input {name}, lost qubit {lost_q}: branch "
                                  f"probabilities sum to {total:.12g}, not 1")
@@ -304,8 +253,8 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
                 input_name=name,
                 lost=lost_q,
                 branch="".join(str(b) for b in bits),
-                probability=rec.probability,
-                fidelity=rec.fidelity_vs_input,
-                sigma=_shot_sigma(rec.fidelity_vs_input, shots),
-            ) for bits, rec in branches)
+                probability=res.probability,
+                fidelity=res.fidelity,
+                sigma=_shot_sigma(res.fidelity, shots),
+            ) for bits, res in branches)
     return rows

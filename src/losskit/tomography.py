@@ -119,25 +119,9 @@ def basis_matrix(token: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Setting:
-    """One per-qubit basis assignment and the decomposition terms it serves.
-
-    ``covered`` holds indices into the decomposition's term tuple: the terms
-    outside coherence families whose Pauli letters match the bases, plus the
-    whole coherence family for an equatorial family setting.  Family settings carry ``ghz_sign`` = (-1)^k
-    and ``ghz_weight`` = g / m of the (first) GHZ-identity term they measure;
-    for a full-weight family that term contributes
-    ghz_weight * ghz_sign * <product of all outcomes>.  The estimator derives
-    every outcome weight from the bases alone, so these fields describe the
-    grouping rather than feed the estimate.
-    """
+    """One per-qubit basis assignment; the estimator reads nothing else."""
 
     bases: tuple[str, ...]
-    covered: tuple[int, ...]
-    ghz_sign: int = 0
-    ghz_weight: float = 0.0
-
-    def is_equatorial_family(self) -> bool:
-        return self.ghz_sign != 0
 
     def label(self) -> str:
         return ".".join(self.bases)
@@ -329,31 +313,22 @@ def group_settings(decomp: PauliDecomposition) -> list[Setting]:
     n = decomp.n_qubits
     families = _coherence_families(decomp)
     in_family = {i for fam in families for i in fam.indices}
-    plain = [i for i, (_, p) in enumerate(decomp.terms)
-             if p.weight > 0 and i not in in_family]
+    targets = [p for i, (_, p) in enumerate(decomp.terms)
+               if p.weight > 0 and i not in in_family]
 
-    # bases -> (ghz_sign, ghz_weight, family term indices)
-    chosen: dict[tuple[str, ...], tuple[int, float, tuple[int, ...]]] = {}
-    if any(_is_diagonal(decomp.terms[i][1]) for i in plain):
-        chosen[tuple("Z" for _ in range(n))] = (0, 0.0, ())
-    targets = [decomp.terms[i][1] for i in plain]
+    chosen: set[tuple[str, ...]] = set()
+    if any(_is_diagonal(p) for p in targets):
+        chosen.add(tuple("Z" for _ in range(n)))
     for fam in families:
         for part in fam.parts:
             if part.bases is None:
                 targets.append(PauliString.from_support(n, dict(zip(fam.flips, part.pattern))))
             else:
-                chosen.setdefault(part.bases, (part.sign, part.scale, fam.indices))
+                chosen.add(part.bases)
 
     remaining = [p for p in targets if not any(_compatible(p, b) for b in chosen)]
-    for tokens in _greedy_pauli_cover(n, remaining):
-        chosen[tokens] = (0, 0.0, ())
-
-    settings = []
-    for bases in sorted(chosen):
-        sign, weight, family_indices = chosen[bases]
-        covered = tuple(i for i in plain if _compatible(decomp.terms[i][1], bases))
-        settings.append(Setting(bases, covered + family_indices, sign, weight))
-    return settings
+    chosen.update(_greedy_pauli_cover(n, remaining))
+    return [Setting(bases) for bases in sorted(chosen)]
 
 
 @dataclass(frozen=True)
@@ -502,7 +477,7 @@ def write_counts_csv(tables: Sequence[CountsTable], path: str) -> None:
 
 
 def read_counts_csv(path: str) -> list[CountsTable]:
-    """Reload histograms; settings come back with bases only (no term links).
+    """Reload histograms written by ``write_counts_csv``.
 
     ``estimate_fidelity`` matches tables by their bases, so the reloaded
     tables give the same estimate as the originals.
@@ -519,5 +494,5 @@ def read_counts_csv(path: str) -> list[CountsTable]:
         counts = np.zeros(2 ** k)
         for outcome, count in outcome_map.items():
             counts[int(outcome, 2)] = count
-        tables.append(CountsTable(Setting(bases, ()), int(round(counts.sum())), counts))
+        tables.append(CountsTable(Setting(bases), int(round(counts.sum())), counts))
     return tables

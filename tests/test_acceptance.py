@@ -84,7 +84,7 @@ def test_noiseless_roundtrip_all_losses_and_branches():
             reduced = erase(rho, pattern)
             for bits in product((0, 1), repeat=2):
                 rec = execute_recovery(reduced, plan, reference=inp, forced=bits)
-                worst = min(worst, rec.fidelity_vs_input)
+                worst = min(worst, rec.fidelity)
                 cases += 1
     elapsed = time.monotonic() - start
     ok = (cases == 1600 and worst > 1 - PROTOCOL_TOL
@@ -194,8 +194,8 @@ def test_noise_model_magnitudes():
             reduced = erase(rho, pattern)
             for bits in product((0, 1), repeat=2):
                 rec = execute_recovery(reduced, plan, reference=PRESETS[name], forced=bits)
-                ok = ok and abs(rec.fidelity_vs_input - recovered_target) < PROTOCOL_TOL
-                ok = ok and rec.fidelity_vs_input > cw
+                ok = ok and abs(rec.fidelity - recovered_target) < PROTOCOL_TOL
+                ok = ok and rec.fidelity > cw
         details.append(f"{name}: codeword {cw:.6f}")
     assert report("white-noise magnitudes: codeword 0.578125, recovered 0.775", ok,
                   "; ".join(details))
@@ -269,7 +269,7 @@ def test_unrecoverable_block_loss_bound():
         value = 0.0
         for bits in product((0, 1), repeat=len(plan.measurement_order)):
             rec = execute_recovery(reduced, plan, reference=inp, forced=bits)
-            value += rec.probability * rec.fidelity_vs_input
+            value += rec.probability * rec.fidelity
         total += value
     average = total / UNRECOVERABLE_SAMPLES
     ok = average <= UNRECOVERABLE_BOUND

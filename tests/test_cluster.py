@@ -253,7 +253,31 @@ class TestRunPattern:
             result.output_state.matrix,
             StateVector.from_amplitudes([0.6, 0.8]).density().matrix, atol=1e-10)
 
+    @pytest.mark.parametrize("bits,word", [((0, 0), "H"), ((1, 0), "HX"),
+                                           ((0, 1), "HZ"), ((1, 1), "HXZ")])
+    def test_output_gate_follows_frame(self, bits, word):
+        # a feeds the X of the frame and c its Z; Z-measuring |+> leaves b alone
+        plus = StateVector.from_amplitudes([1, 1], normalize=True)
+        psi = StateVector.from_amplitudes([0.6, 0.8])
+        pattern = MeasurementPattern(steps=(PatternStep("a", "z"), PatternStep("c", "z")),
+                                     output="b", output_x_from=("a",), output_z_from=("c",),
+                                     output_gate="H")
+        frame_first = psi
+        for gate in reversed(word):
+            frame_first = apply_gate(frame_first, gate, [0])
+        result = run_pattern(plus.tensor(psi).tensor(plus).density(), pattern,
+                             labels=("a", "b", "c"), forced=bits, target=frame_first)
+        assert result.byproduct == word
+        assert abs(result.fidelity - 1) < 1e-12
+        gate_first = apply_gate(psi, "H", [0])
+        for gate in reversed(word[1:]):
+            gate_first = apply_gate(gate_first, gate, [0])
+        if word in ("HX", "HZ"):   # here the two orders give orthogonal outputs
+            assert fidelity_pure(gate_first, result.output_state) < 1e-12
+
     def test_pattern_validation(self):
+        with pytest.raises(ValueError, match="unknown output gate"):
+            MeasurementPattern(steps=(PatternStep(1, "z"),), output=2, output_gate="S")
         with pytest.raises(ValueError, match="measured twice"):
             MeasurementPattern(steps=(PatternStep(1, "z"), PatternStep(1, "x")), output=2)
         with pytest.raises(ValueError, match="unmeasured"):

@@ -9,7 +9,7 @@ import pytest
 from losskit.codes import CodeParams, LogicalInput, PRESETS, encode
 from losskit import recovery
 from losskit.qsim import (DensityMatrix, NoiseSpec, Seed, StateVector, ZeroProbabilityBranch,
-                          apply_channel, apply_gate, fidelity_pure)
+                          apply_channel, apply_gate, fidelity_pure, forced_branches)
 from losskit.recovery import (
     LossPattern,
     best_effort_plan,
@@ -83,8 +83,11 @@ class TestPlanRecovery:
         assert plan.z_measurements == (1,)
         assert plan.x_measurements == (2,)
         assert plan.target == 3
-        assert plan.correction_table == {(0, 0): "H", (1, 0): "HX",
-                                         (0, 1): "HZ", (1, 1): "HXZ"}
+        pattern = plan.measurement_pattern
+        assert [(s.qubit, s.basis) for s in pattern.steps] == [(1, "z"), (2, "x")]
+        assert pattern.output == 3
+        assert (pattern.output_x_from, pattern.output_z_from) == ((1,), (2,))
+        assert pattern.output_gate == "H"
 
     def test_mirrored_block_plan(self):
         plan = plan_recovery(P22, LossPattern({3}), target=1)
@@ -106,12 +109,14 @@ class TestPlanRecovery:
         for _ in range(10):
             inp = random_input(rng)
             rho = encode(inp, P22).density()
-            for bits in all_branches(plan):
-                try:
-                    rec = execute_recovery(rho, plan, reference=inp, forced=bits)
-                except ValueError:
-                    continue  # intra-block disagreement has probability zero
-                assert abs(rec.fidelity_vs_input - 1) < 1e-9
+            # intra-block disagreement has probability zero and is skipped
+            branches = list(forced_branches(
+                len(plan.measurement_order),
+                lambda bits: execute_recovery(rho, plan, reference=inp, forced=bits)))
+            assert len(branches) == 4
+            assert abs(sum(rec.probability for _, rec in branches) - 1) < 1e-12
+            for _, rec in branches:
+                assert abs(rec.fidelity - 1) < 1e-9
 
     def test_unrecoverable_pattern_raises(self):
         with pytest.raises(ValueError, match="not recoverable"):
@@ -128,23 +133,26 @@ class TestExecuteRecovery:
         plan = plan_recovery(P22, LossPattern({0}))
         for bits in all_branches(plan):
             rec = execute_recovery(rho, plan, reference=PRESETS["V"], forced=bits)
-            assert abs(rec.fidelity_vs_input - 1) < 1e-12
+            assert abs(rec.fidelity - 1) < 1e-12
             assert abs(rec.probability - 0.25) < 1e-12
 
     def test_branch_words_follow_table(self):
-        rho = erase(encode(PRESETS["R"], P22).density(), LossPattern({0}))
-        plan = plan_recovery(P22, LossPattern({0}))
-        words = {}
-        for bits in all_branches(plan):
-            rec = execute_recovery(rho, plan, reference=PRESETS["R"], forced=bits)
-            words[bits] = rec.correction_applied
-        assert words == {(0, 0): "H", (1, 0): "HX", (0, 1): "HZ", (1, 1): "HXZ"}
+        # bits are (Z outcome, X outcome): the (z-parity, x-parity) feedforward table
+        for lost in range(4):
+            rho = erase(encode(PRESETS["R"], P22).density(), LossPattern({lost}))
+            plan = plan_recovery(P22, LossPattern({lost}))
+            words = {}
+            for bits in all_branches(plan):
+                rec = execute_recovery(rho, plan, reference=PRESETS["R"], forced=bits)
+                words[bits] = rec.byproduct
+                assert abs(rec.fidelity - 1) < 1e-12
+            assert words == {(0, 0): "H", (1, 0): "HX", (0, 1): "HZ", (1, 1): "HXZ"}, lost
 
     def test_r_input_third_qubit_lost(self):
         rho = erase(encode(PRESETS["R"], P22).density(), LossPattern({2}))
         plan = plan_recovery(P22, LossPattern({2}))
         rec = execute_recovery(rho, plan, reference=PRESETS["R"], forced=(0, 0))
-        assert abs(rec.fidelity_vs_input - 1) < 1e-12
+        assert abs(rec.fidelity - 1) < 1e-12
 
     def test_white_noise_recovers_at_half_plus_v_over_two(self):
         spec = NoiseSpec(white_noise_v=0.5)
@@ -155,7 +163,7 @@ class TestExecuteRecovery:
             plan = plan_recovery(P22, LossPattern({0}))
             for bits in all_branches(plan):
                 rec = execute_recovery(reduced, plan, reference=PRESETS[name], forced=bits)
-                assert abs(rec.fidelity_vs_input - 0.75) < 1e-10
+                assert abs(rec.fidelity - 0.75) < 1e-10
 
     def test_multi_loss_roundtrip(self):
         params = CodeParams(3, 2)
@@ -165,12 +173,13 @@ class TestExecuteRecovery:
         for _ in range(5):
             inp = random_input(rng)
             rho = erase(encode(inp, params).density(), pattern)
-            for bits in all_branches(plan):
-                try:
-                    rec = execute_recovery(rho, plan, reference=inp, forced=bits)
-                except ValueError:
-                    continue
-                assert abs(rec.fidelity_vs_input - 1) < 1e-9
+            branches = list(forced_branches(
+                len(plan.measurement_order),
+                lambda bits: execute_recovery(rho, plan, reference=inp, forced=bits)))
+            assert len(branches) == 8   # one Z and two X outcomes, all possible
+            assert abs(sum(rec.probability for _, rec in branches) - 1) < 1e-12
+            for _, rec in branches:
+                assert abs(rec.fidelity - 1) < 1e-9
 
     def test_noiseless_roundtrip_random_sample(self):
         rng = np.random.default_rng(33)
@@ -183,7 +192,7 @@ class TestExecuteRecovery:
                 reduced = erase(rho, pattern)
                 for bits in all_branches(plan):
                     rec = execute_recovery(reduced, plan, reference=inp, forced=bits)
-                    assert abs(rec.fidelity_vs_input - 1) < 1e-9
+                    assert abs(rec.fidelity - 1) < 1e-9
 
     def test_branch_average_consistency_with_sampling(self):
         # probability-weighted forced-branch average vs rng-sampled estimate
@@ -197,12 +206,12 @@ class TestExecuteRecovery:
         weighted = 0.0
         for bits in all_branches(plan):
             rec = execute_recovery(reduced, plan, reference=PRESETS["R"], forced=bits)
-            weighted += rec.probability * rec.fidelity_vs_input
+            weighted += rec.probability * rec.fidelity
         seed = Seed(99)
         shots = 10000
         samples = np.array([
             execute_recovery(reduced, plan, reference=PRESETS["R"],
-                             rng=seed.stream(i)).fidelity_vs_input
+                             rng=seed.stream(i)).fidelity
             for i in range(shots)
         ])
         stderr = samples.std(ddof=1) / math.sqrt(shots)
@@ -216,9 +225,9 @@ class TestExecuteRecovery:
             rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=v), ideal=psi)
             rec = execute_recovery(erase(rho, LossPattern({1})), plan,
                                    reference=PRESETS["R"], forced=(0, 0))
-            assert rec.fidelity_vs_input <= last + 1e-12
-            assert abs(rec.fidelity_vs_input - (1 + v) / 2) < 1e-10
-            last = rec.fidelity_vs_input
+            assert rec.fidelity <= last + 1e-12
+            assert abs(rec.fidelity - (1 + v) / 2) < 1e-10
+            last = rec.fidelity
 
     def test_wrong_state_size_raises(self):
         plan = plan_recovery(P22, LossPattern({0}))
@@ -240,7 +249,7 @@ class TestBestEffort:
             got = 0.0
             for bits in all_branches(plan):
                 rec = execute_recovery(rho, plan, reference=inp, forced=bits)
-                got += rec.probability * rec.fidelity_vs_input
+                got += rec.probability * rec.fidelity
             total += got
         average = total / trials
         assert average <= (1 + 1 / SQ2) / 2 + 0.02

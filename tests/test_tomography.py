@@ -32,6 +32,19 @@ def random_state(rng, n):
     return StateVector.from_amplitudes(amps, normalize=True)
 
 
+def random_full_rank(rng, n):
+    g = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    m = g @ g.conj().T
+    return DensityMatrix(n, m / np.trace(m))
+
+
+def assert_exact_tables_estimate(psi, decomp, settings):
+    """Exact tables of ``settings`` cover every term and reproduce fidelity_pure."""
+    rho = random_full_rank(np.random.default_rng(78), psi.n_qubits)
+    fid, _ = estimate_fidelity([exact_counts(rho, s, 1000) for s in settings], decomp)
+    assert abs(fid - fidelity_pure(psi, rho)) < 1e-10
+
+
 class TestDecomposeProjector:
     def test_single_qubit_zero(self):
         decomp = decompose_projector(StateVector.basis_state(1, 0))
@@ -76,14 +89,14 @@ class TestGroupSettings:
         assert "Z.Z.Z.Z" in labels
 
     def test_ghz_needs_five_with_equatorial_settings(self):
-        settings = group_settings(decompose_projector(encode(PRESETS["PLUS"], P22)))
+        psi = encode(PRESETS["PLUS"], P22)
+        decomp = decompose_projector(psi)
+        settings = group_settings(decomp)
         assert len(settings) == 5
         labels = {s.label() for s in settings}
         assert labels == {"Z.Z.Z.Z", "X.X.X.X", "M45.M45.M45.M45",
                           "Y.Y.Y.Y", "M135.M135.M135.M135"}
-        signs = sorted((s.label(), s.ghz_sign) for s in settings if s.is_equatorial_family())
-        assert signs == [("M135.M135.M135.M135", -1), ("M45.M45.M45.M45", -1),
-                         ("X.X.X.X", 1), ("Y.Y.Y.Y", 1)]
+        assert_exact_tables_estimate(psi, decomp, settings)
 
     def test_cluster_class_input_needs_nine(self):
         settings = group_settings(decompose_projector(encode(PRESETS["R"], P22)))
@@ -94,36 +107,34 @@ class TestGroupSettings:
         settings = group_settings(decomp)
         again = group_settings(decomp)
         assert [s.label() for s in settings] == [s.label() for s in again]
-        covered = set()
-        for s in settings:
-            covered.update(s.covered)
-        nonid = {i for i, (_, p) in enumerate(decomp.terms) if p.weight > 0}
-        assert covered >= nonid
+        assert_exact_tables_estimate(phi5(), decomp, settings)
         # 11 Pauli settings plus 4 Z-conditioned equatorial settings; 17 is
         # the minimum only for covers made of Pauli product settings
         assert len(settings) == 15
 
     def test_phi5_sector_conditioned_equatorial_settings(self):
         decomp = decompose_projector(phi5())
-        family = [s for s in group_settings(decomp) if s.is_equatorial_family()]
+        settings = group_settings(decomp)
+        family = [s for s in settings if "M" in s.label()]
         assert [s.label() for s in family] == [
             "Z.M135.M135.M135.M135", "Z.M135.M135.M45.M45",
             "Z.M45.M45.M135.M135", "Z.M45.M45.M45.M45"]
-        # each lists the 8 coherence terms {I,Z} x {X,Y}^4 on photons 2-5
-        for setting in family:
-            letters = sorted(decomp.terms[i][1].letters for i in setting.covered)
-            assert len(letters) == 8
-            assert all(w[0] in "IZ" and set(w[1:]) <= {"X", "Y"} for w in letters)
+        # without any one of them the coherence terms {I,Z} x {X,Y}^4 on
+        # photons 2-5 are read by no setting
+        rho = phi5().density()
+        for missing in family:
+            tables = [exact_counts(rho, s, 100) for s in settings if s != missing]
+            with pytest.raises(ValueError, match=r"term [IZ][XY]{4} is not covered"):
+                estimate_fidelity(tables, decomp)
 
     def test_every_covered_term_is_compatible(self):
-        decomp = decompose_projector(encode(PRESETS["R"], P22))
-        for setting in group_settings(decomp):
-            if setting.is_equatorial_family():
-                continue
-            for idx in setting.covered:
-                _, pauli = decomp.terms[idx]
-                for letter, basis in zip(pauli.letters, setting.bases):
-                    assert letter == "I" or letter == basis
+        psi = encode(PRESETS["R"], P22)
+        decomp = decompose_projector(psi)
+        settings = group_settings(decomp)
+        for _, pauli in decomp.terms:
+            assert any(all(letter in ("I", basis) for letter, basis in zip(pauli.letters, s.bases))
+                       for s in settings), pauli.letters
+        assert_exact_tables_estimate(psi, decomp, settings)
 
 
 def reference_greedy_cover(n, targets):
@@ -178,14 +189,14 @@ class TestGreedyCover:
 class TestSimulateCounts:
     def test_ghz_diagonal_setting_probabilities(self):
         rho = encode(PRESETS["PLUS"], P22).density()
-        setting = Setting(("Z", "Z", "Z", "Z"), ())
+        setting = Setting(("Z", "Z", "Z", "Z"))
         probs = setting_probabilities(rho, setting)
         expected = np.zeros(16)
         expected[0] = expected[15] = 0.5
         np.testing.assert_allclose(probs, expected, atol=1e-12)
 
     def test_phi5_diagonal_outcomes(self):
-        probs = setting_probabilities(phi5().density(), Setting(("Z",) * 5, ()))
+        probs = setting_probabilities(phi5().density(), Setting(("Z",) * 5))
         support = {int(b, 2) for b in ("00000", "01111", "10011", "11100")}
         for outcome, p in enumerate(probs):
             assert abs(p - (0.25 if outcome in support else 0.0)) < 1e-12
@@ -193,7 +204,7 @@ class TestSimulateCounts:
     def test_sampling_matches_exact_within_3_sigma(self):
         psi = phi5()
         rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.8), ideal=psi)
-        setting = Setting(("Z", "X", "Y", "M45", "M135"), ())
+        setting = Setting(("Z", "X", "Y", "M45", "M135"))
         probs = setting_probabilities(rho, setting)
         shots = 10 ** 6
         table = simulate_counts(rho, setting, shots, Seed(5))
@@ -203,20 +214,14 @@ class TestSimulateCounts:
 
     def test_deterministic_for_fixed_seed(self):
         rho = encode(PRESETS["R"], P22).density()
-        setting = Setting(("X", "X", "Y", "Y"), ())
+        setting = Setting(("X", "X", "Y", "Y"))
         a = simulate_counts(rho, setting, 1000, Seed(9))
         b = simulate_counts(rho, setting, 1000, Seed(9))
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_counts_sum_validation(self):
         with pytest.raises(ValueError):
-            CountsTable(Setting(("Z",), ()), 10, np.array([3.0, 4.0]))
-
-
-def random_full_rank(rng, n):
-    g = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
-    m = g @ g.conj().T
-    return DensityMatrix(n, m / np.trace(m))
+            CountsTable(Setting(("Z",)), 10, np.array([3.0, 4.0]))
 
 
 REFERENCE_STATES = {
@@ -342,5 +347,5 @@ class TestCountsCsv:
             for table in tables:
                 np.testing.assert_allclose(by_label[table.setting.label()].counts,
                                            table.counts)
-            # reloaded settings carry no term links; the estimate must not change
+            # the estimator matches reloaded tables by their bases alone
             assert estimate_fidelity(loaded, decomp) == estimate_fidelity(tables, decomp)
