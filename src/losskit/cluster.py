@@ -36,6 +36,7 @@ from .qsim import (
     StateVector,
     apply_channel,
     apply_gate,
+    expectation,
     fidelity_pure,
     measure,
     partial_trace,
@@ -227,7 +228,7 @@ def indirect_z(state: DensityMatrix, g: Graph, lost: Vertex, helper: Vertex, *,
                 if w != lost:
                     support[current.index(w)] = "Z"
             stab = PauliString.from_support(len(current), support)
-            val = float(np.real(np.trace(state.matrix @ stab.matrix())))
+            val = expectation(state, stab)
             if val < 1.0 - 1e-9:
                 raise ValueError(
                     f"stabilizer X_{helper} Z_{lost} (x neighbor Zs) not satisfied "

@@ -21,12 +21,28 @@ Density matrices returned by this module's operations (``density``,
 ``apply_gate``, ``partial_trace``, ``measure``, ``apply_channel``) are
 Hermitian by construction; they skip the copy and the O(d^2) Hermiticity
 check and keep only the O(d) trace check.
+
+The two hot kernels work on basis indices rather than tensor axes:
+
+- ``expectation`` writes a Pauli string as an X-mask x, a Z-mask z (its Y
+  and Z positions) and a Y count ny, so ``P|c> = i^ny (-1)^popcount(c & z)
+  |c ^ x>``.  A state vector costs one gather ``psi[c ^ x]`` times a sign
+  table; a density matrix costs one gather of ``rho[c, c ^ x]``, O(2^n)
+  instead of an O(8^n) matrix product.  The index and sign tables are built
+  once per qubit count, on first use.
+- ``measure`` views ``rho`` as blocks ``t[a, i, b, c, j, d]`` with ``i, j``
+  the measured qubit.  A Z outcome is the slice ``t[:, o, :, :, o, :]``; an
+  X or B(alpha) outcome is ``0.5 (diag +- coh)`` with ``diag = t00 + t11``
+  and ``coh = e^{i alpha} t01 + e^{-i alpha} t10``.  Both sums pair each
+  entry with its conjugate partner, so the kept block of an exactly
+  Hermitian ``rho`` is exactly Hermitian and needs no symmetrising pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -48,6 +64,11 @@ CNOT_MATRIX = np.array(
 CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
 
 _PAULI_MATRICES = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+_PAULI_LETTERS = frozenset("IXYZ")
+_I_POWERS = (1, 1j, -1, -1j)          # i^k for k mod 4; also the allowed phases
+# letter -> bit of the X-mask and of the Z-mask; Y = i X Z sets both
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 # (a, b) -> (letter of a*b, phase of a*b)
 _PAULI_PRODUCT = {
@@ -196,10 +217,10 @@ class PauliString:
     phase: complex = 1 + 0j
 
     def __post_init__(self) -> None:
-        if any(c not in "IXYZ" for c in self.letters):
+        if not set(self.letters) <= _PAULI_LETTERS:
             raise ValueError(f"invalid Pauli letters: {self.letters!r}")
         phase = complex(self.phase)
-        if not any(abs(phase - p) < 1e-12 for p in (1, -1, 1j, -1j)):
+        if phase not in _I_POWERS and not any(abs(phase - p) < 1e-12 for p in _I_POWERS):
             raise ValueError(f"phase must be one of +-1, +-i, got {phase}")
         object.__setattr__(self, "phase", phase)
 
@@ -409,16 +430,40 @@ def basis_vectors(basis: str, alpha: float | None = None) -> tuple[np.ndarray, n
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _project_out(rho: DensityMatrix, qubit: int, vec: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project one qubit onto ``vec`` and remove it; returns (matrix, prob)."""
+def _kept_blocks(rho: DensityMatrix, qubit: int, basis: str, alpha: float | None,
+                 outcomes: Sequence[int]) -> list[tuple[np.ndarray, float]]:
+    """Each outcome's unnormalised kept state <o|rho|o>, as a fresh matrix, and its trace.
+
+    ``rho`` is viewed as ``t[a, i, b, c, j, d]`` with ``i``, ``j`` the measured
+    qubit, so a Z outcome is the slice ``t[:, o, :, :, o, :]``.  For the kets
+    (|0> +- e^{i alpha}|1>)/sqrt2 the kept block is ``0.5 (diag +- coh)``;
+    both terms are sums of conjugate pairs, so a Hermitian ``rho`` gives an
+    exactly Hermitian block.
+    """
     n = rho.n_qubits
-    t = rho.matrix.reshape((2,) * (2 * n))
-    t = np.moveaxis(t, (qubit, n + qubit), (0, 1))
-    collapsed = np.einsum("i,ij...,j->...", vec.conj(), t, vec)
-    dim = 2 ** (n - 1)
-    collapsed = collapsed.reshape(dim, dim)
-    prob = float(np.real(np.trace(collapsed)))
-    return collapsed, prob
+    high, low = 2 ** qubit, 2 ** (n - qubit - 1)
+    dim = high * low
+    t = rho.matrix.reshape(high, 2, low, high, 2, low)
+    if basis == "z":
+        blocks = [np.array(t[:, o, :, :, o, :]) for o in outcomes]
+        return [_with_trace(block.reshape(dim, dim)) for block in blocks]
+    diag = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
+    if basis == "x":
+        coh = t[:, 0, :, :, 1, :] + t[:, 1, :, :, 0, :]
+    else:
+        phase = np.exp(1j * alpha)
+        coh = phase * t[:, 0, :, :, 1, :]
+        coh += np.conj(phase) * t[:, 1, :, :, 0, :]
+    combine = (np.add, np.subtract)
+    blocks = [combine[o](diag, coh) for o in outcomes[:-1]]
+    blocks.append(combine[outcomes[-1]](diag, coh, out=diag))  # the last reuses diag
+    for block in blocks:
+        block *= 0.5
+    return [_with_trace(block.reshape(dim, dim)) for block in blocks]
+
+
+def _with_trace(block: np.ndarray) -> tuple[np.ndarray, float]:
+    return block, float(np.real(np.trace(block)))
 
 
 def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
@@ -432,12 +477,16 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
     """
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {rho.n_qubits} qubits")
-    kets = basis_vectors(basis, alpha)
+    name = basis.lower()
+    if name not in ("z", "x", "b"):
+        raise ValueError(f"unknown basis {basis!r}")
+    if name == "b" and alpha is None:
+        raise ValueError("B(alpha) basis requires alpha")
     if forced is not None:
         if forced not in (0, 1):
             raise ValueError("forced outcome must be 0 or 1")
         outcome = forced
-        mat, prob = _project_out(rho, qubit, kets[forced])
+        ((mat, prob),) = _kept_blocks(rho, qubit, name, alpha, (forced,))
         if prob < _ZERO_PROB:
             raise ZeroProbabilityBranch(
                 f"forced outcome {forced} has zero probability ({prob:.3e})"
@@ -445,12 +494,10 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
     else:
         if rng is None:
             raise ValueError("measure needs either an rng or a forced outcome")
-        m0, p0 = _project_out(rho, qubit, kets[0])
-        m1, p1 = _project_out(rho, qubit, kets[1])
+        (m0, p0), (m1, p1) = _kept_blocks(rho, qubit, name, alpha, (0, 1))
         outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
         mat, prob = (m0, m1)[outcome], (p0, p1)[outcome]
-    mat = mat / prob
-    mat = 0.5 * (mat + mat.conj().T)  # scrub roundoff asymmetry
+    mat /= prob
     return MeasurementResult(outcome, DensityMatrix._trusted(rho.n_qubits - 1, mat), prob)
 
 
@@ -481,24 +528,41 @@ def forced_branches(k: int, run: Callable[[tuple[int, ...]], object],
         yield bits, result
 
 
-def _apply_pauli_letters_sv(psi: np.ndarray, n: int, pauli: PauliString) -> np.ndarray:
-    t = psi.reshape((2,) * n)
-    for q, letter in enumerate(pauli.letters):
-        if letter != "I":
-            t = _apply_on_axes(t, _PAULI_MATRICES[letter], [q])
-    return t.reshape(-1)
+@lru_cache(maxsize=None)
+def _bit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices 0..2^n-1 and the signs (-1)^popcount(c) at each index c."""
+    signs = np.ones(1)
+    for _ in range(n):
+        signs = np.concatenate((signs, -signs))
+    idx = np.arange(2 ** n)
+    for table in (idx, signs):
+        table.setflags(write=False)
+    return idx, signs
 
 
 def expectation(state: State, obs: PauliString) -> float:
-    """Expectation value Tr(rho P) (or <psi|P|psi>) of a Hermitian Pauli string."""
+    """Expectation value Tr(rho P) (or <psi|P|psi>) of a Hermitian Pauli string.
+
+    With X-mask x, Z-mask z (the Y and Z positions) and ny Y letters,
+    P|c> = i^ny (-1)^popcount(c & z) |c ^ x>, so one gather evaluates it.
+    """
     n = _n_qubits(state)
     if len(obs) != n:
         raise ValueError(f"Pauli string length {len(obs)} does not match {n} qubits")
+    x = int("0" + obs.letters.translate(_X_BITS), 2)   # the "0" parses n = 0 too
+    z = int("0" + obs.letters.translate(_Z_BITS), 2)
+    i_power = _I_POWERS[obs.letters.count("Y") % 4]
+    idx, signs = _bit_tables(n)
+    flipped = idx ^ x
     if isinstance(state, StateVector):
-        phi = _apply_pauli_letters_sv(state.amplitudes, n, obs)
-        val = obs.phase * np.vdot(state.amplitudes, phi)
+        psi = state.amplitudes
+        phi = psi[flipped] * signs[flipped & z]   # P|psi>, up to the factor i^ny
+        if i_power != 1:
+            phi *= i_power
+        val = obs.phase * np.vdot(psi, phi)
     else:
-        val = obs.phase * np.trace(state.matrix @ obs.matrix())
+        terms = state.matrix[idx, flipped]        # rho[c, c ^ x]
+        val = obs.phase * i_power * np.dot(terms, signs[idx & z])
     if abs(val.imag) > 1e-8:
         raise ValueError(f"expectation of non-Hermitian observable (got {val})")
     return float(val.real)
@@ -550,8 +614,7 @@ def apply_channel(rho: DensityMatrix, spec: NoiseSpec,
     v = spec.white_noise_v
     mat = v * rho.matrix
     if v < 1.0:
-        diagonal = mat.reshape(-1)[:: 2 ** n + 1]
-        diagonal += (1.0 - v) / 2 ** n
+        mat[np.diag_indices(2 ** n)] += (1.0 - v) / 2 ** n   # any memory layout
     if spec.pair_dephasing_d > 0.0:
         for i, j in pairs:
             mat = _conjugate_mix(mat, n, spec.pair_dephasing_d, {i: "Z", j: "Z"})

@@ -44,7 +44,14 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .qsim import DensityMatrix, PauliString, Seed, StateVector, expectation
+from .qsim import (
+    DensityMatrix,
+    PauliString,
+    Seed,
+    StateVector,
+    _apply_on_axes,
+    expectation,
+)
 
 MAX_DECOMP_QUBITS = 6
 
@@ -356,8 +363,6 @@ def setting_probabilities(rho: DensityMatrix, setting: Setting) -> np.ndarray:
     if len(setting.bases) != n:
         raise ValueError("setting size does not match the state")
     t = rho.matrix.reshape((2,) * (2 * n))
-    from .qsim import _apply_on_axes  # shared tensor helper
-
     for q, token in enumerate(setting.bases):
         u = basis_matrix(token)
         t = _apply_on_axes(t, u.conj().T, [q])

@@ -1,11 +1,17 @@
 """Core engine tests: gates, measurement, channels, and algebraic invariants."""
 
 import math
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import losskit.qsim
 from losskit.qsim import (
     CNOT_MATRIX,
     CZ_MATRIX,
@@ -29,6 +35,7 @@ from losskit.qsim import (
     partial_trace,
     rz_matrix,
 )
+from losskit.qsim import _PAULI_MATRICES, _apply_on_axes
 
 SQ2 = math.sqrt(2.0)
 
@@ -278,6 +285,117 @@ class TestMeasure:
         np.testing.assert_allclose(b1, x1)
 
 
+# Reference kernels: the generic tensor code that ``expectation`` and
+# ``measure`` replaced, kept here to pin the bit-index kernels against.
+
+
+def reference_expectation_sv(psi, pauli):
+    """<psi|P|psi> applying P one letter at a time on the state's tensor axes."""
+    t = psi.amplitudes.reshape((2,) * psi.n_qubits)
+    for q, letter in enumerate(pauli.letters):
+        if letter != "I":
+            t = _apply_on_axes(t, _PAULI_MATRICES[letter], [q])
+    return float((pauli.phase * np.vdot(psi.amplitudes, t.reshape(-1))).real)
+
+
+def reference_project(rho, qubit, vec):
+    """(normalised state, probability) of projecting ``qubit`` onto ``vec`` by einsum."""
+    n = rho.n_qubits
+    t = np.moveaxis(rho.matrix.reshape((2,) * (2 * n)), (qubit, n + qubit), (0, 1))
+    collapsed = np.einsum("i,ij...,j->...", vec.conj(), t, vec).reshape(2 ** (n - 1), -1)
+    prob = float(np.real(np.trace(collapsed)))
+    mat = collapsed / prob
+    return 0.5 * (mat + mat.conj().T), prob
+
+
+def reference_measure(rho, qubit, basis, alpha, rng):
+    kets = basis_vectors(basis, alpha)
+    (m0, p0), (m1, p1) = (reference_project(rho, qubit, k) for k in kets)
+    outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
+    return outcome, ((m0, p0), (m1, p1))[outcome]
+
+
+def mixed_state(rng, n):
+    """A full-rank state with no special structure: a noisy, rotated random pure state."""
+    rho = apply_gate(random_state(rng, n).density(), "RZ", [n - 1], alpha=0.37)
+    return apply_channel(rho, NoiseSpec(white_noise_v=0.8))
+
+
+class TestKernelsAgainstReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_statevector_expectation_bitwise_on_every_string(self, n):
+        psi = random_state(np.random.default_rng(20 + n), n)
+        for letters in product("IXYZ", repeat=n):
+            for phase in (1, -1):
+                pauli = PauliString("".join(letters), phase)
+                assert expectation(psi, pauli) == reference_expectation_sv(psi, pauli), letters
+
+    @INVARIANTS
+    @given(pure_states(min_qubits=1), st.data())
+    def test_statevector_expectation_bitwise_on_drawn_strings(self, psi, data):
+        letters = data.draw(st.text("IXYZ", min_size=psi.n_qubits, max_size=psi.n_qubits))
+        pauli = PauliString(letters, data.draw(st.sampled_from([1, -1])))
+        assert expectation(psi, pauli) == reference_expectation_sv(psi, pauli)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_density_expectation_matches_trace(self, n):
+        rho = mixed_state(np.random.default_rng(30 + n), n)
+        for letters in product("IXYZ", repeat=n):
+            pauli = PauliString("".join(letters), -1)
+            oracle = np.trace(rho.matrix @ pauli.matrix()).real
+            assert abs(expectation(rho, pauli) - oracle) <= 1e-12, letters
+
+    def test_non_hermitian_observable_raises_on_both_paths(self):
+        psi = ket(1, 1)
+        for state in (psi, psi.density()):
+            with pytest.raises(ValueError, match="non-Hermitian"):
+                expectation(state, PauliString("X", 1j))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_measure_matches_einsum_projection(self, n):
+        rng = np.random.default_rng(40 + n)
+        rho = mixed_state(rng, n)
+        for qubit, basis in product(range(n), ("z", "x", "b")):
+            alpha = rng.uniform(-4, 4) if basis == "b" else None
+            kets = basis_vectors(basis, alpha)
+            for forced in (0, 1):
+                _, state, prob = measure(rho, qubit, basis, alpha=alpha, forced=forced)
+                ref_mat, ref_prob = reference_project(rho, qubit, kets[forced])
+                assert abs(prob - ref_prob) <= 1e-12
+                assert np.max(np.abs(state.matrix - ref_mat)) <= 1e-12
+            seed = int(rng.integers(2 ** 32))
+            outcome, state, prob = measure(rho, qubit, basis, alpha=alpha,
+                                           rng=np.random.default_rng(seed))
+            ref_outcome, (ref_mat, ref_prob) = reference_measure(
+                rho, qubit, basis, alpha, np.random.default_rng(seed))
+            assert outcome == ref_outcome
+            assert abs(prob - ref_prob) <= 1e-12
+            assert np.max(np.abs(state.matrix - ref_mat)) <= 1e-12
+
+    def test_exact_hermiticity_survives_a_measurement_chain(self):
+        # measure has no output scrub: each kept block is a sum of conjugate
+        # pairs, so an exactly Hermitian input stays exactly Hermitian.  The
+        # input is density() made exactly Hermitian at the boundary, because
+        # a fused multiply-add in the complex outer product can leave
+        # density() off by one rounding.
+        rng = np.random.default_rng(50)
+        mat = random_state(rng, 6).density().matrix
+        rho = DensityMatrix(6, 0.5 * (mat + mat.conj().T))
+        for basis in ("z", "x", "b", "x", "z"):
+            qubit = int(rng.integers(rho.n_qubits))
+            rho = measure(rho, qubit, basis, alpha=rng.uniform(-4, 4), rng=rng).state
+            assert np.array_equal(rho.matrix, rho.matrix.conj().T), basis
+
+    def test_index_tables_are_built_on_first_use(self):
+        code = ("import losskit.qsim as q; before = q._bit_tables.cache_info().currsize; "
+                "q.expectation(q.StateVector.basis_state(3, 0), q.PauliString('ZZZ')); "
+                "print(before, q._bit_tables.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(Path(losskit.qsim.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["0", "1"]
+
+
 class TestForcedBranches:
     @staticmethod
     def run_bell(bits):
@@ -357,6 +475,16 @@ class TestPauliString:
         assert left.letters == right.letters
         assert abs(left.phase - right.phase) < 1e-12
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="invalid Pauli letters"):
+            PauliString("XA")
+        with pytest.raises(ValueError, match="phase must be one of"):
+            PauliString("X", 0.5)
+        minus_one = PauliString("Z", -1).phase
+        assert minus_one == -1 and isinstance(minus_one, complex)
+        nearly_i = 1j + 1e-13
+        assert PauliString("Y", nearly_i).phase == nearly_i   # within tolerance, kept as given
+
     def test_matrix_matches_kron(self):
         np.testing.assert_allclose(PauliString("XZ").matrix(),
                                    np.kron(PAULI_X, PAULI_Z), atol=1e-12)
@@ -376,6 +504,12 @@ class TestChannels:
         rho = random_state(rng, 4).density()
         out = apply_channel(rho, NoiseSpec(white_noise_v=0.0))
         np.testing.assert_allclose(out.matrix, np.eye(16) / 16, atol=1e-12)
+
+    def test_white_noise_on_transposed_matrix(self):
+        # a one-qubit gate leaves a Fortran-ordered matrix, which a reshape copies
+        rho = apply_gate(ket(1, 0.5j).density(), "RZ", [0], alpha=0.4)
+        out = apply_channel(rho, NoiseSpec(white_noise_v=0.8))
+        np.testing.assert_allclose(out.matrix, 0.8 * rho.matrix + 0.1 * np.eye(2), atol=1e-15)
 
     def test_visibility_on_bell_pair(self):
         spec = NoiseSpec(epr_visibility=0.92)
