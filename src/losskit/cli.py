@@ -346,7 +346,7 @@ def run_encode(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for i, name in enumerate(cfg.inputs):
         psi = encode(PRESETS[name], params)
-        rho = apply_channel(psi.density(), _noise(cfg), ideal=psi,
+        rho = apply_channel(psi.density(), _noise(cfg),
                             interfering_pairs=_noise_pairs(cfg, name, params))
         row = _tomography_row(cfg, name, psi, rho, i)
         rows.append(replace(row, code_n=cfg.code_n, code_m=cfg.code_m))
@@ -355,7 +355,7 @@ def run_encode(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def run_cluster_fidelity(cfg: ExperimentConfig) -> list[ResultRow]:
     psi = phi5()
-    rho = apply_channel(psi.density(), _noise(cfg), ideal=psi,
+    rho = apply_channel(psi.density(), _noise(cfg),
                         interfering_pairs=_noise_pairs(cfg, "phi5", None))
     return [_tomography_row(cfg, "phi5", psi, rho, 0)]
 

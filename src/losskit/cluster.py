@@ -34,12 +34,12 @@ from .qsim import (
     NoiseSpec,
     PauliString,
     StateVector,
-    apply_channel,
     apply_gate,
     expectation,
     fidelity_pure,
     measure,
     partial_trace,
+    post_loss_state,
 )
 
 MAX_GRAPH_QUBITS = 12
@@ -434,12 +434,8 @@ def loss_tolerant_rotation(lost: str, alpha: float, noise: NoiseSpec | None = No
     ``forced`` fixes the (helper, redundant, rotation) outcome bits.
     """
     pattern = loss_case_pattern(lost, alpha)
-    ideal = phi5()
-    rho = ideal.density()
-    if noise is not None:
-        rho = apply_channel(rho, noise, ideal=ideal, interfering_pairs=interfering_pairs)
-    erase_photon = LOSS_CASES[lost]["erase"]
-    rho = partial_trace(rho, [erase_photon - 1])  # photon k lives on qubit k-1
+    erase_photon = LOSS_CASES[lost]["erase"]   # photon k lives on qubit k-1
+    rho = post_loss_state(phi5(), [erase_photon - 1], noise, interfering_pairs)
     labels = tuple(p for p in range(1, 6) if p != erase_photon)
     return run_pattern(rho, pattern, labels, forced=forced, rng=rng,
                        target=rotation_target(alpha))

@@ -18,9 +18,19 @@ Validation happens once, at the boundary.  The public ``StateVector(...)``
 and ``DensityMatrix(...)`` constructors copy their input and check its
 shape, normalization and (for density matrices) Hermiticity and trace.
 Density matrices returned by this module's operations (``density``,
-``apply_gate``, ``partial_trace``, ``measure``, ``apply_channel``) are
-Hermitian by construction; they skip the copy and the O(d^2) Hermiticity
-check and keep only the O(d) trace check.
+``apply_gate``, ``partial_trace``, ``measure``, ``apply_channel``,
+``post_loss_state``) are Hermitian by construction; they skip the copy and
+the O(d^2) Hermiticity check and keep only the O(d) trace check.
+
+A detected loss is prepared from the amplitudes.  ``post_loss_state`` forms
+the survivors' 2^s x 2^s state as A A^dagger, with A the amplitudes arranged
+as survivors x lost qubits, and never the full 2^n x 2^n matrix.  The noise
+channel maps through the loss exactly: white noise of weight 1-v stays white
+noise on the survivors, and each Z-type term (pair dephasing, pair-source
+visibility) keeps its weight and drops its lost qubits from its Z-support,
+since Tr_L[Z rho Z] = Z' Tr_L[rho] Z'; a term left with no support drops
+out.  Every Z-type term scales entry (r, c) by a factor of r ^ c alone, so
+the whole channel is one elementwise pass over the matrix.
 
 The two hot kernels work on basis indices rather than tensor axes:
 
@@ -578,20 +588,56 @@ def fidelity_pure(psi: StateVector, rho: Union[DensityMatrix, StateVector]) -> f
     return float(val.real)
 
 
-def _conjugate_mix(rho_mat: np.ndarray, n: int, weight: float,
-                   paulis: dict[int, str]) -> np.ndarray:
-    """(1-w) rho + w P rho P for a product of single-qubit Paulis P."""
-    t = rho_mat.reshape((2,) * (2 * n))
-    for q, letter in paulis.items():
-        u = _PAULI_MATRICES[letter]
-        t = _apply_on_axes(t, u, [q])
-        t = _apply_on_axes(t, u.conj(), [n + q])
-    flipped = t.reshape(rho_mat.shape)
-    return (1.0 - weight) * rho_mat + weight * flipped
+def _z_masks(spec: NoiseSpec, interfering_pairs: Iterable[Sequence[int]], n: int,
+             kept: Sequence[int]) -> list[tuple[float, int]]:
+    """The Z-type mixing terms of ``spec`` as ``(weight, Z-mask)`` on the qubits ``kept``.
+
+    Each pair (i, j) of the ``n`` qubits gives the dephasing term (d, {i, j})
+    and the visibility term ((1-V)/2, {i}); terms of weight zero are left
+    out.  Qubits not in ``kept`` leave the support, ``kept`` is renumbered
+    in order, and a term with no qubit left drops out.
+    """
+    pairs = [tuple(p) for p in interfering_pairs]
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ValueError(f"invalid interfering pair ({i}, {j})")
+    bit = [0] * n   # each qubit's bit in a Z-mask on ``kept``; 0 if it is not kept
+    for k, q in enumerate(kept):
+        bit[q] = 1 << (len(kept) - 1 - k)
+    masks = []
+    if spec.pair_dephasing_d > 0.0:
+        masks += [(spec.pair_dephasing_d, bit[i] | bit[j]) for i, j in pairs]
+    if spec.epr_visibility < 1.0:
+        masks += [((1.0 - spec.epr_visibility) / 2.0, bit[i]) for i, _ in pairs]
+    return [(w, z) for w, z in masks if z]
+
+
+_MIX_CHUNK = 1 << 15   # matrix entries per row chunk of the Z-mixing gather
+
+
+def _add_noise(mat: np.ndarray, n: int, v: float, masks: Sequence[tuple[float, int]]) -> None:
+    """In place: every Z-type mixing term, then white noise of weight 1 - v.
+
+    A term (w, z) maps rho -> (1-w) rho + w Z rho Z with Z on the qubits of
+    mask z, which scales entry (r, c) by (1-w) + w (-1)^popcount((r ^ c) & z).
+    So all terms together, times v, scale entry (r, c) by one factor
+    f[r ^ c], applied in a single pass.
+    """
+    idx, signs = _bit_tables(n)
+    if masks:
+        f = np.full(2 ** n, v)
+        for w, z in masks:
+            f *= (1.0 - w) + w * signs[idx & z]
+        rows = max(1, _MIX_CHUNK >> n)
+        for a in range(0, 2 ** n, rows):
+            mat[a:a + rows] *= f[idx[a:a + rows, None] ^ idx]
+    elif v < 1.0:
+        mat *= v
+    if v < 1.0:
+        mat[idx, idx] += (1.0 - v) / 2 ** n
 
 
 def apply_channel(rho: DensityMatrix, spec: NoiseSpec,
-                  ideal: StateVector | None = None,
                   interfering_pairs: Sequence[tuple[int, int]] = ()) -> DensityMatrix:
     """Apply the preparation-noise channel described by ``spec``.
 
@@ -603,23 +649,41 @@ def apply_channel(rho: DensityMatrix, spec: NoiseSpec,
     returns ``rho`` itself.
     """
     n = rho.n_qubits
-    if ideal is not None and ideal.n_qubits != n:
-        raise ValueError("ideal state dimension does not match rho")
-    pairs = [tuple(p) for p in interfering_pairs]
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ValueError(f"invalid interfering pair ({i}, {j})")
+    masks = _z_masks(spec, interfering_pairs, n, range(n))
     if spec.is_noiseless():
         return rho
-    v = spec.white_noise_v
-    mat = v * rho.matrix
-    if v < 1.0:
-        mat[np.diag_indices(2 ** n)] += (1.0 - v) / 2 ** n   # any memory layout
-    if spec.pair_dephasing_d > 0.0:
-        for i, j in pairs:
-            mat = _conjugate_mix(mat, n, spec.pair_dephasing_d, {i: "Z", j: "Z"})
-    if spec.epr_visibility < 1.0:
-        flip = (1.0 - spec.epr_visibility) / 2.0
-        for i, _ in pairs:
-            mat = _conjugate_mix(mat, n, flip, {i: "Z"})
+    mat = rho.matrix.copy()   # C order, whatever the layout of rho.matrix
+    _add_noise(mat, n, spec.white_noise_v, masks)
     return DensityMatrix._trusted(n, mat)
+
+
+def post_loss_state(psi: StateVector, lost: Iterable[int], spec: NoiseSpec | None = None,
+                    interfering_pairs: Sequence[tuple[int, int]] = ()) -> DensityMatrix:
+    """The survivors' state after ``psi`` is prepared with noise ``spec`` and ``lost`` is lost.
+
+    Equal to ``partial_trace(apply_channel(psi.density(), spec,
+    interfering_pairs), lost)`` (survivors keep their relative order), but
+    never forms the 2^n x 2^n matrix.  With the amplitudes arranged as a
+    matrix A whose rows index the survivors and whose columns index the lost
+    qubits, Tr_L |psi><psi| = A A^dagger.  The channel maps through the
+    trace term by term: white noise stays white noise on the survivors, and
+    since Tr_L[Z rho Z] = Z' Tr_L[rho] Z' with Z' the survivors' part of Z,
+    a Z-type term keeps its weight and loses its lost qubits, and drops out
+    when none of its support survives.
+    """
+    n = psi.n_qubits
+    lost = sorted(set(lost))
+    for q in lost:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    if len(lost) == n:
+        raise ValueError("cannot discard every qubit")
+    spec = spec if spec is not None else NoiseSpec()
+    survivors = [q for q in range(n) if q not in lost]
+    masks = _z_masks(spec, interfering_pairs, n, survivors)
+    s = len(survivors)
+    a = psi.amplitudes.reshape((2,) * n).transpose(survivors + lost).reshape(2 ** s, -1)
+    mat = a @ a.conj().T
+    if not spec.is_noiseless():
+        _add_noise(mat, s, spec.white_noise_v, masks)
+    return DensityMatrix._trusted(s, mat)

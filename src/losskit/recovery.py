@@ -1,9 +1,14 @@
 """Detected-loss erasure, recoverability, and feedforward recovery plans.
 
 A detected loss is modeled as a partial trace: the position is known, the
-polarization is not.  Recovery is a one-way measurement pattern on the
-survivors: it measures every surviving qubit except one target, and the
-feedforward word is the pattern's output frame on the target:
+polarization is not.  ``recovery_sweep`` builds each post-loss state with
+``qsim.post_loss_state``, straight from the codeword's amplitudes and the
+noise spec, so it never forms the full 2^n x 2^n density matrix; ``erase``
+traces the lost qubits out of a density matrix that a caller already holds.
+
+Recovery is a one-way measurement pattern on the survivors: it measures
+every surviving qubit except one target, and the feedforward word is the
+pattern's output frame on the target:
 
 - every non-target block is removed by Z-measuring all of its survivors;
   each such block contributes one representative outcome (its survivors are
@@ -26,7 +31,7 @@ import numpy as np
 
 from .cluster import MeasurementPattern, OneWayResult, PatternStep, run_pattern
 from .codes import CodeParams, LogicalInput, encode
-from .qsim import DensityMatrix, NoiseSpec, apply_channel, forced_branches, partial_trace
+from .qsim import DensityMatrix, NoiseSpec, forced_branches, partial_trace, post_loss_state
 
 
 @dataclass(frozen=True)
@@ -233,14 +238,11 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
     for inp in inputs:
         name = inp.name or "custom"
         psi = encode(inp, params)
-        rho = psi.density()
-        if noise is not None:
-            pairs = tuple(pairs_for(inp)) if pairs_for is not None else ()
-            rho = apply_channel(rho, noise, ideal=psi, interfering_pairs=pairs)
+        pairs = tuple(pairs_for(inp)) if noise is not None and pairs_for is not None else ()
         for lost_q in loss_positions:
             pattern = LossPattern({lost_q})
             plan = plan_recovery(params, pattern)
-            reduced = erase(rho, pattern)
+            reduced = post_loss_state(psi, pattern.lost, noise, pairs)
             branches = list(forced_branches(
                 len(plan.measurement_order),
                 lambda bits: execute_recovery(reduced, plan, reference=inp, forced=bits),

@@ -33,6 +33,7 @@ from losskit.qsim import (
     forced_branches,
     measure,
     partial_trace,
+    post_loss_state,
     rz_matrix,
 )
 from losskit.qsim import _PAULI_MATRICES, _apply_on_axes
@@ -141,6 +142,15 @@ class TestInternalResults:
         spec = NoiseSpec(v, d, visibility)
         check_internal_result(lambda: apply_channel(rho, spec, interfering_pairs=pairs),
                               rho.matrix)
+
+    @INVARIANTS
+    @given(pure_states(), st.floats(0, 0.999), st.floats(0, 1), st.floats(0, 1), st.data())
+    def test_post_loss_state(self, psi, v, d, visibility, data):
+        order = data.draw(st.permutations(range(psi.n_qubits)))
+        lost = order[:data.draw(st.integers(1, psi.n_qubits - 1))]
+        pairs = [(order[0], order[-1])]
+        spec = NoiseSpec(v, d, visibility)
+        check_internal_result(lambda: post_loss_state(psi, lost, spec, pairs), psi.amplitudes)
 
 
 class TestGates:
@@ -321,6 +331,36 @@ def mixed_state(rng, n):
     return apply_channel(rho, NoiseSpec(white_noise_v=0.8))
 
 
+def reference_conjugate_mix(rho_mat, n, weight, paulis):
+    """(1-w) rho + w P rho P for a product P of single-qubit Paulis, on tensor axes."""
+    t = rho_mat.reshape((2,) * (2 * n))
+    for q, letter in paulis.items():
+        u = _PAULI_MATRICES[letter]
+        t = _apply_on_axes(t, u, [q])
+        t = _apply_on_axes(t, u.conj(), [n + q])
+    return (1.0 - weight) * rho_mat + weight * t.reshape(rho_mat.shape)
+
+
+def reference_channel(rho, spec, pairs):
+    """The noise channel as a white-noise step and one conjugation pass per term."""
+    n = rho.n_qubits
+    v = spec.white_noise_v
+    mat = v * rho.matrix
+    mat[np.diag_indices(2 ** n)] += (1.0 - v) / 2 ** n
+    if spec.pair_dephasing_d > 0.0:
+        for i, j in pairs:
+            mat = reference_conjugate_mix(mat, n, spec.pair_dephasing_d, {i: "Z", j: "Z"})
+    if spec.epr_visibility < 1.0:
+        for i, _ in pairs:
+            mat = reference_conjugate_mix(mat, n, (1.0 - spec.epr_visibility) / 2.0, {i: "Z"})
+    return DensityMatrix(n, mat)
+
+
+def reference_post_loss(psi, lost, spec, pairs):
+    """density(), then the reference channel on all n qubits, then the partial trace."""
+    return partial_trace(reference_channel(psi.density(), spec, pairs), lost)
+
+
 class TestKernelsAgainstReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_statevector_expectation_bitwise_on_every_string(self, n):
@@ -394,6 +434,68 @@ class TestKernelsAgainstReference:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.split() == ["0", "1"]
+
+
+@st.composite
+def noisy_losses(draw):
+    """(psi, lost, spec, pairs): 1-2 lost qubits and pairs with 0, 1 and 2 members lost."""
+    psi = draw(pure_states())
+    n = psi.n_qubits
+    order = draw(st.permutations(range(n)))
+    lost = order[:draw(st.integers(1, min(2, n - 1)))]
+    survivor = order[-1]
+    pairs = [(lost[0], survivor), (survivor, lost[-1])]
+    if len(lost) == 2:
+        pairs.append((lost[1], lost[0]))
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda p: p[0] != p[1]), max_size=3))
+    pairs = draw(st.permutations(pairs))
+    spec = NoiseSpec(draw(st.floats(0, 1)), draw(st.floats(0, 1)), draw(st.floats(0, 1)))
+    return psi, lost, spec, pairs
+
+
+class TestPostLossState:
+    @INVARIANTS
+    @given(noisy_losses())
+    def test_matches_trace_of_full_noisy_matrix(self, case):
+        psi, lost, spec, pairs = case
+        out = post_loss_state(psi, lost, spec, pairs)
+        ref = reference_post_loss(psi, lost, spec, pairs)
+        assert out.n_qubits == ref.n_qubits
+        assert np.max(np.abs(out.matrix - ref.matrix)) <= 1e-12
+
+    @INVARIANTS
+    @given(noisy_losses())
+    def test_apply_channel_matches_reference(self, case):
+        psi, _, spec, pairs = case
+        rho = psi.density()
+        out = apply_channel(rho, spec, interfering_pairs=pairs)
+        assert np.max(np.abs(out.matrix - reference_channel(rho, spec, pairs).matrix)) <= 1e-12
+
+    def test_noiseless_and_no_loss(self):
+        psi = random_state(np.random.default_rng(60), 4)
+        np.testing.assert_allclose(post_loss_state(psi, [2]).matrix,
+                                   partial_trace(psi.density(), [2]).matrix, atol=1e-15)
+        np.testing.assert_allclose(post_loss_state(psi, []).matrix, psi.density().matrix,
+                                   atol=1e-15)
+
+    def test_survivors_keep_their_order(self):
+        psi = StateVector.basis_state(4, "0110")
+        out = post_loss_state(psi, [3, 0, 3])
+        np.testing.assert_array_equal(out.matrix, StateVector.basis_state(2, "11").density().matrix)
+
+    def test_errors_match_the_full_path(self):
+        psi = random_state(np.random.default_rng(61), 3)
+        with pytest.raises(ValueError, match=r"invalid interfering pair \(0, 3\)"):
+            post_loss_state(psi, [0], NoiseSpec(), [(0, 3)])
+        with pytest.raises(ValueError, match=r"invalid interfering pair \(1, 1\)"):
+            post_loss_state(psi, [0], NoiseSpec(pair_dephasing_d=0.1), [(1, 1)])
+        with pytest.raises(ValueError, match="qubit 3 out of range for 3 qubits"):
+            post_loss_state(psi, [3])
+        with pytest.raises(ValueError, match="qubit -1 out of range for 3 qubits"):
+            post_loss_state(psi, [-1])
+        with pytest.raises(ValueError, match="cannot discard every qubit"):
+            post_loss_state(psi, [0, 1, 2])
 
 
 class TestForcedBranches:

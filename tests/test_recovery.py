@@ -158,7 +158,7 @@ class TestExecuteRecovery:
         spec = NoiseSpec(white_noise_v=0.5)
         for name in ("V", "PLUS", "R"):
             psi = encode(PRESETS[name], P22)
-            rho = apply_channel(psi.density(), spec, ideal=psi)
+            rho = apply_channel(psi.density(), spec)
             reduced = erase(rho, LossPattern({0}))
             plan = plan_recovery(P22, LossPattern({0}))
             for bits in all_branches(plan):
@@ -222,7 +222,7 @@ class TestExecuteRecovery:
         psi = encode(PRESETS["R"], P22)
         last = 1.1
         for v in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5):
-            rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=v), ideal=psi)
+            rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=v))
             rec = execute_recovery(erase(rho, LossPattern({1})), plan,
                                    reference=PRESETS["R"], forced=(0, 0))
             assert rec.fidelity <= last + 1e-12

@@ -203,7 +203,7 @@ class TestSimulateCounts:
 
     def test_sampling_matches_exact_within_3_sigma(self):
         psi = phi5()
-        rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.8), ideal=psi)
+        rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.8))
         setting = Setting(("Z", "X", "Y", "M45", "M135"))
         probs = setting_probabilities(rho, setting)
         shots = 10 ** 6
@@ -282,7 +282,7 @@ class TestEstimateFidelity:
 
     def test_white_noise_admixture_value(self):
         psi = phi5()
-        rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.55), ideal=psi)
+        rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.55))
         decomp = decompose_projector(psi)
         fid, _ = estimate_fidelity(self.tables_for(rho, decomp), decomp)
         assert abs(fid - (0.55 + 0.45 / 32)) < 1e-10
@@ -290,14 +290,14 @@ class TestEstimateFidelity:
 
     def test_equatorial_path_exact_on_ghz(self):
         psi = encode(PRESETS["PLUS"], P22)
-        rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.7), ideal=psi)
+        rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.7))
         decomp = decompose_projector(psi)
         fid, _ = estimate_fidelity(self.tables_for(rho, decomp), decomp)
         assert abs(fid - (0.7 + 0.3 / 16)) < 1e-10
 
     def test_sampled_estimates_are_consistent(self):
         psi = encode(PRESETS["R"], P22)
-        rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.8), ideal=psi)
+        rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.8))
         decomp = decompose_projector(psi)
         exact_fid = 0.8 + 0.2 / 16
         misses = 0
@@ -310,7 +310,7 @@ class TestEstimateFidelity:
 
     def test_sigma_scales_with_shots(self):
         psi = encode(PRESETS["PLUS"], P22)
-        rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.8), ideal=psi)
+        rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.8))
         decomp = decompose_projector(psi)
         sigmas = {}
         for shots in (10 ** 2, 10 ** 4, 10 ** 6):
@@ -333,7 +333,7 @@ class TestCountsCsv:
     def test_round_trip(self, tmp_path):
         for name in ("V", "PLUS", "phi5"):
             psi = REFERENCE_STATES[name]()
-            rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.8), ideal=psi)
+            rho = apply_channel(psi.density(), NoiseSpec(white_noise_v=0.8))
             decomp = decompose_projector(psi)
             settings = group_settings(decomp)
             master = Seed(3)
