@@ -1,24 +1,22 @@
 """Reproducible command-line experiments with CSV/JSON output.
 
 Each subcommand loads a flat ``key = value`` config file, applies flag
-overrides, runs a seeded simulation, and writes rows in one fixed schema:
-
-    experiment, input, code_n, code_m, lost, branch, alpha,
-    fidelity, sigma, settings, shots, seed
-
-Non-applicable cells are left empty.  CSV output starts with ``#``-prefixed
-lines echoing the fully resolved configuration, so every file is
-self-describing; the data section uses RFC-4180 quoting.  Identical config
-plus seed yields byte-identical output.
+overrides, runs a seeded simulation, and writes rows in one fixed schema,
+the fields of ``ResultRow`` in order.  Non-applicable cells are left empty.
+CSV output starts with ``#``-prefixed lines echoing the fully resolved
+configuration, so every file is self-describing; the data section uses
+RFC-4180 quoting.  Identical config plus seed yields byte-identical output.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from io import StringIO
 from pathlib import Path
 from typing import Sequence
@@ -26,15 +24,12 @@ from typing import Sequence
 import click
 import numpy as np
 
-from .codes import CodeParams, PRESETS, encode
-from .cluster import LOSS_CASES, loss_tolerant_rotation, phi5
+from .codes import MAX_TOTAL_QUBITS, CodeParams, PRESETS, encode
+from .cluster import LOSS_CASES, loss_case_pattern, loss_tolerant_rotation, phi5
 from .qsim import NoiseSpec, Seed, apply_channel, forced_branches
-from .recovery import _shot_sigma, recovery_sweep
-from .tomography import decompose_projector, estimate_fidelity, group_settings, simulate_counts
-
-EXPERIMENTS = ("encode", "recover", "cluster-fidelity", "oneway")
-CSV_COLUMNS = ("experiment", "input", "code_n", "code_m", "lost", "branch",
-               "alpha", "fidelity", "sigma", "settings", "shots", "seed")
+from .recovery import recovery_sweep, shot_sigma
+from .tomography import (MAX_DECOMP_QUBITS, decompose_projector, estimate_fidelity,
+                         group_settings, simulate_counts)
 
 
 class ConfigError(click.UsageError):
@@ -124,9 +119,10 @@ def _parse_pairs(text: str, key: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-_INT_KEYS = {"code_n", "code_m", "shots", "seed"}
-_FLOAT_KEYS = {"noise_v", "noise_d", "noise_visibility"}
-_STR_KEYS = {"experiment", "dephase_pairs", "format", "out", "lost", "force_branch"}
+# scalar keys parse as the type of their default; the tuple keys have their own parsers
+_SCALAR_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)
+                 if not isinstance(f.default, tuple)}
+_EXPECTED = {int: "an integer", float: "a number"}
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -143,31 +139,26 @@ def parse_config(path: str) -> ExperimentConfig:
             raise click.UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _INT_KEYS:
-            try:
-                setattr(cfg, key, int(value))
-            except ValueError:
-                raise ConfigError(key, f"expected an integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                setattr(cfg, key, float(value))
-            except ValueError:
-                raise ConfigError(key, f"expected a number, got {value!r}") from None
-        elif key in _STR_KEYS:
-            setattr(cfg, key, value)
-        elif key == "inputs":
+        if key == "inputs":
             cfg.inputs = tuple(tok.strip() for tok in value.split(",") if tok.strip())
         elif key == "alphas":
             cfg.alphas = tuple(_parse_angle(tok, "alphas")
                                for tok in value.split(",") if tok.strip())
-        else:
+        elif key not in _SCALAR_TYPES:
             raise ConfigError(key, "unknown configuration key")
+        else:
+            kind = _SCALAR_TYPES[key]
+            try:
+                setattr(cfg, key, kind(value))
+            except ValueError:
+                raise ConfigError(key, f"expected {_EXPECTED[kind]}, got {value!r}") from None
     return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
+    if cfg.experiment not in RUNNERS:
+        raise ConfigError("experiment", f"must be one of {tuple(RUNNERS)}, "
+                                        f"got {cfg.experiment!r}")
     if cfg.code_n < 2:
         raise ConfigError("code_n", f"block size must be >= 2, got {cfg.code_n}")
     if cfg.code_m < 1:
@@ -186,31 +177,35 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.format not in ("csv", "json"):
         raise ConfigError("format", f"must be csv or json, got {cfg.format!r}")
     total = cfg.code_n * cfg.code_m
-    if cfg.experiment == "encode" and total > 6:
-        raise ConfigError("code_n", "encode tomography supports at most 6 physical qubits")
-    if cfg.experiment in ("encode", "recover") and total > 12:
-        raise ConfigError("code_n", "codes are limited to 12 physical qubits")
+    if cfg.experiment == "encode" and total > MAX_DECOMP_QUBITS:
+        raise ConfigError("code_n", f"encode tomography supports at most {MAX_DECOMP_QUBITS} "
+                                    f"physical qubits")
+    if cfg.experiment in ("encode", "recover") and total > MAX_TOTAL_QUBITS:
+        raise ConfigError("code_n", f"codes are limited to {MAX_TOTAL_QUBITS} physical qubits")
     if cfg.dephase_pairs not in ("", "auto"):
         pairs = _parse_pairs(cfg.dephase_pairs, "dephase_pairs")
-        limit = total if cfg.experiment in ("encode", "recover") else 5
+        limit = total if cfg.experiment in ("encode", "recover") else phi5().n_qubits
         for i, j in pairs:
             if not (0 <= i < limit and 0 <= j < limit) or i == j:
                 raise ConfigError("dephase_pairs", f"pair ({i}, {j}) out of range")
+    widths = set()   # outcome bits per branch
     if cfg.experiment == "oneway":
         for case in _oneway_cases(cfg):
             if case not in LOSS_CASES:
                 raise ConfigError("lost", f"unsupported loss case {case!r}; "
-                                          f"expected photon2/photon4")
+                                          f"expected {'/'.join(sorted(LOSS_CASES))}")
+            widths.add(len(loss_case_pattern(case, 0.0).steps))
     if cfg.experiment == "recover":
         _recover_losses(cfg)
+        widths = {total - 2}
     if cfg.force_branch:
         bits = _branch_bits(cfg.force_branch)
         if bits is None:
             raise ConfigError("force_branch", f"expected outcome bits, got {cfg.force_branch!r}")
-        width = {"recover": total - 2, "oneway": 3}.get(cfg.experiment)
-        if width is not None and len(bits) != width:
-            raise ConfigError("force_branch", f"{cfg.experiment} branches use {width} "
-                                              f"outcome bits, got {len(bits)}")
+        for width in widths:
+            if len(bits) != width:
+                raise ConfigError("force_branch", f"{cfg.experiment} branches use {width} "
+                                                  f"outcome bits, got {len(bits)}")
 
 
 def _branch_bits(text: str) -> tuple[int, ...] | None:
@@ -281,48 +276,35 @@ class ResultRow:
     shots: int | None = None
     seed: int | None = None
 
-    def as_strings(self) -> list[str]:
-        def fmt(value, number=False):
-            if value is None:
-                return ""
-            if number:
-                return _fmt_number(value)
-            return str(value)
 
-        return [self.experiment, self.input, fmt(self.code_n), fmt(self.code_m),
-                self.lost, self.branch, fmt(self.alpha, True),
-                fmt(self.fidelity, True), fmt(self.sigma, True),
-                fmt(self.settings), fmt(self.shots), fmt(self.seed)]
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment, "input": self.input,
-            "code_n": self.code_n, "code_m": self.code_m, "lost": self.lost,
-            "branch": self.branch,
-            "alpha": None if self.alpha is None else round(self.alpha, 9),
-            "fidelity": None if self.fidelity is None else round(self.fidelity, 9),
-            "sigma": None if self.sigma is None else round(self.sigma, 9),
-            "settings": self.settings, "shots": self.shots, "seed": self.seed,
-        }
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-def _csv_quote(cell: str) -> str:
-    if any(c in cell for c in ',"\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    text = _fmt_number(value) if isinstance(value, float) else str(value)
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_cell(value):
+    return round(value, 9) if isinstance(value, float) else value
 
 
 def render_output(cfg: ExperimentConfig, rows: Sequence[ResultRow]) -> str:
     if cfg.format == "json":
         doc = {"config": dict(cfg.echo_items()),
-               "rows": [row.as_dict() for row in rows]}
+               "rows": [{col: _json_cell(getattr(row, col)) for col in CSV_COLUMNS}
+                        for row in rows]}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     buf = StringIO()
     for key, value in cfg.echo_items():
         buf.write(f"# {key}={value}\n")
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
-        buf.write(",".join(_csv_quote(cell) for cell in row.as_strings()) + "\n")
+        buf.write(",".join(_csv_cell(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
     return buf.getvalue()
 
 
@@ -342,6 +324,7 @@ def _tomography_row(cfg: ExperimentConfig, name: str, psi, rho,
 
 
 def run_encode(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Codeword preparation fidelity via simulated tomography."""
     params = CodeParams(cfg.code_n, cfg.code_m)
     rows = []
     for i, name in enumerate(cfg.inputs):
@@ -354,6 +337,7 @@ def run_encode(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_cluster_fidelity(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Five-photon cluster-state fidelity estimate."""
     psi = phi5()
     rho = apply_channel(psi.density(), _noise(cfg),
                         interfering_pairs=_noise_pairs(cfg, "phi5", None))
@@ -361,14 +345,14 @@ def run_cluster_fidelity(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_recover(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Loss-and-recovery sweep over inputs, losses and branches."""
     params = CodeParams(cfg.code_n, cfg.code_m)
     losses = _recover_losses(cfg)
     forced = _branch_bits(cfg.force_branch) if cfg.force_branch else None
     rows = []
     for name in cfg.inputs:
         sweep = recovery_sweep([PRESETS[name]], params, _noise(cfg), cfg.shots, losses=losses,
-                               pairs_for=lambda _: _noise_pairs(cfg, name, params),
-                               forced=forced)
+                               pairs=_noise_pairs(cfg, name, params), forced=forced)
         common = dict(experiment="recover", input=name, code_n=cfg.code_n,
                       code_m=cfg.code_m, shots=cfg.shots, seed=cfg.seed)
         rows.extend(ResultRow(lost=str(r.lost), branch=r.branch, fidelity=r.fidelity,
@@ -383,20 +367,22 @@ def run_recover(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_oneway(cfg: ExperimentConfig) -> list[ResultRow]:
+    """One-way rotation under photon loss, all forced branches."""
     noise = _noise(cfg)
     pairs = _noise_pairs(cfg, "phi5", None)
     forced = _branch_bits(cfg.force_branch) if cfg.force_branch else None
     rows = []
     for case in _oneway_cases(cfg):
         for alpha in cfg.alphas:
+            steps = len(loss_case_pattern(case, alpha).steps)
             branches = forced_branches(
-                3, lambda bits: loss_tolerant_rotation(case, alpha, noise, interfering_pairs=pairs,
-                                                       forced=bits),
+                steps, lambda bits: loss_tolerant_rotation(case, alpha, noise,
+                                                           interfering_pairs=pairs, forced=bits),
                 forced, where=f"loss case {case}, alpha {_fmt_number(alpha)}, ")
             rows.extend(ResultRow(
                 experiment="oneway", input="phi5", lost=case,
                 branch="".join(str(b) for b in bits), alpha=alpha,
-                fidelity=result.fidelity, sigma=_shot_sigma(result.fidelity, cfg.shots),
+                fidelity=result.fidelity, sigma=shot_sigma(result.fidelity, cfg.shots),
                 shots=cfg.shots, seed=cfg.seed) for bits, result in branches)
     return rows
 
@@ -409,7 +395,7 @@ RUNNERS = {
 }
 
 
-def _execute(experiment: str, config_path: str, overrides: dict) -> None:
+def _execute(experiment: str, config_path: str, **overrides) -> None:
     cfg = parse_config(config_path)
     cfg.experiment = experiment
     for key, value in overrides.items():
@@ -434,13 +420,13 @@ def _common_options(fn):
                       type=click.Path(exists=False), help="Flat key=value config file.")(fn)
     fn = click.option("--seed", type=int, default=None, help="Override master seed.")(fn)
     fn = click.option("--shots", type=int, default=None, help="Override shot count.")(fn)
-    fn = click.option("--noise-v", "noise_v", type=float, default=None,
+    fn = click.option("--noise-v", type=float, default=None,
                       help="Override white-noise weight v.")(fn)
-    fn = click.option("--out", "out", type=click.Path(), default=None,
+    fn = click.option("--out", type=click.Path(), default=None,
                       help="Output file path (default: stdout).")(fn)
-    fn = click.option("--format", "format_", type=click.Choice(["csv", "json"]),
+    fn = click.option("--format", type=click.Choice(["csv", "json"]),
                       default=None, help="Output format.")(fn)
-    fn = click.option("--force-branch", "force_branch", default=None,
+    fn = click.option("--force-branch", default=None,
                       help="Restrict to one forced outcome branch (bit string).")(fn)
     return fn
 
@@ -451,22 +437,10 @@ def main() -> None:
     """Loss-tolerant code experiments with seeded, reproducible output."""
 
 
-def _make_command(experiment: str, help_text: str):
-    @main.command(name=experiment, help=help_text)
-    @_common_options
-    def _cmd(config_path, seed, shots, noise_v, out, format_, force_branch):
-        _execute(experiment, config_path, {
-            "seed": seed, "shots": shots, "noise_v": noise_v,
-            "out": out, "format": format_, "force_branch": force_branch,
-        })
-
-    return _cmd
-
-
-_make_command("encode", "Codeword preparation fidelity via simulated tomography.")
-_make_command("recover", "Loss-and-recovery sweep over inputs, losses and branches.")
-_make_command("cluster-fidelity", "Five-photon cluster-state fidelity estimate.")
-_make_command("oneway", "One-way rotation under photon loss, all forced branches.")
+# every option's dest is the config field it overrides
+for _experiment, _runner in RUNNERS.items():
+    main.command(name=_experiment, help=inspect.getdoc(_runner))(
+        _common_options(partial(_execute, _experiment)))
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from .qsim import (
+    HADAMARD,
     DensityMatrix,
     NoiseSpec,
     PauliString,
@@ -43,6 +44,7 @@ from .qsim import (
 )
 
 MAX_GRAPH_QUBITS = 12
+_Z_SIGNS = np.array([[1, -1], [-1, 1]])
 
 Vertex = Hashable
 
@@ -202,15 +204,14 @@ class IndirectResult:
 def indirect_z(state: DensityMatrix, g: Graph, lost: Vertex, helper: Vertex, *,
                labels: Sequence[Vertex] | None = None,
                forced: int | None = None,
-               rng: np.random.Generator | None = None,
-               check: bool = True) -> IndirectResult:
+               rng: np.random.Generator | None = None) -> IndirectResult:
     """Read a lost qubit's Z outcome through an adjacent helper's X measurement.
 
     The graph-state stabilizer X_helper Z_lost (times Z on the helper's other
     neighbors) ties the helper's X outcome to the Z value of the lost vertex,
     so the loss can be excised without its qubit.  ``state`` may still
-    contain the lost qubit (it is erased first, after an optional stabilizer
-    check) or may already have it traced out; ``labels`` names the state's
+    contain the lost qubit (the stabilizer is checked, then the qubit is
+    erased) or may already have it traced out; ``labels`` names the state's
     qubits (default: all graph vertices, sorted).
 
     Any neighbors of the helper other than the lost vertex keep a Z^outcome
@@ -222,18 +223,17 @@ def indirect_z(state: DensityMatrix, g: Graph, lost: Vertex, helper: Vertex, *,
     if state.n_qubits != len(current):
         raise ValueError("state size does not match the label list")
     if lost in current:
-        if check:
-            support = {current.index(helper): "X", current.index(lost): "Z"}
-            for w in g.neighbors(helper):
-                if w != lost:
-                    support[current.index(w)] = "Z"
-            stab = PauliString.from_support(len(current), support)
-            val = expectation(state, stab)
-            if val < 1.0 - 1e-9:
-                raise ValueError(
-                    f"stabilizer X_{helper} Z_{lost} (x neighbor Zs) not satisfied "
-                    f"(expectation {val:.6f})"
-                )
+        support = {current.index(helper): "X", current.index(lost): "Z"}
+        for w in g.neighbors(helper):
+            if w != lost:
+                support[current.index(w)] = "Z"
+        stab = PauliString.from_support(len(current), support)
+        val = expectation(state, stab)
+        if val < 1.0 - 1e-9:
+            raise ValueError(
+                f"stabilizer X_{helper} Z_{lost} (x neighbor Zs) not satisfied "
+                f"(expectation {val:.6f})"
+            )
         state = partial_trace(state, [current.index(lost)])
         current.remove(lost)
     out, state, _ = measure(state, current.index(helper), "x", forced=forced, rng=rng)
@@ -321,10 +321,10 @@ def run_pattern(state: DensityMatrix, pattern: MeasurementPattern,
 
     ``labels`` gives the vertex label of each qubit in order.  ``forced``
     selects outcome bits in step order.  Pre-corrections X^x Z^z derived from
-    earlier outcomes are applied before each measurement; the output qubit
-    receives its byproduct frame and then the output gate at the end.  The
-    result's ``byproduct`` names the applied word, leftmost applied last
-    (``HXZ``: Z, then X, then H).
+    earlier outcomes act before each measurement; the output qubit receives
+    its byproduct frame and then the output gate at the end.  The result's
+    ``byproduct`` names the applied word, leftmost applied last (``HXZ``: Z,
+    then X, then H).
     """
     current = list(labels)
     if state.n_qubits != len(current):
@@ -340,31 +340,37 @@ def run_pattern(state: DensityMatrix, pattern: MeasurementPattern,
     outcomes: dict = {}
     probability = 1.0
     for i, step in enumerate(pattern.steps):
-        idx = current.index(step.qubit)
-        if _parity(outcomes, step.z_from):
-            state = apply_gate(state, "Z", [idx])
-        if _parity(outcomes, step.x_from):
-            state = apply_gate(state, "X", [idx])
-        want = forced[i] if forced is not None else None
-        out, state, p = measure(state, idx, step.basis, alpha=step.alpha,
+        # X^x Z^z before a measurement only relabels it: X swaps the Z
+        # outcomes and turns B(alpha) into B(-alpha); Z swaps the X and the
+        # B(alpha) outcomes.
+        flip_x = _parity(outcomes, step.x_from)
+        alpha = -step.alpha if flip_x and step.basis == "b" else step.alpha
+        flip = flip_x if step.basis == "z" else _parity(outcomes, step.z_from)
+        want = forced[i] ^ flip if forced is not None else None
+        out, state, p = measure(state, current.index(step.qubit), step.basis, alpha=alpha,
                                 forced=want, rng=rng)
         current.remove(step.qubit)
-        outcomes[step.qubit] = out
+        outcomes[step.qubit] = out ^ flip
         probability *= p
 
-    out_idx = current.index(pattern.output)
+    if len(current) > 1:
+        out_idx = current.index(pattern.output)
+        state = partial_trace(state, [q for q in range(len(current)) if q != out_idx])
+    # the output frame on the one-qubit matrix: Z negates the coherences,
+    # X reverses both axes, and H conjugates
+    mat = state.matrix
     byproduct = ""
     if _parity(outcomes, pattern.output_z_from):
-        state = apply_gate(state, "Z", [out_idx])
+        mat = mat * _Z_SIGNS
         byproduct += "Z"
     if _parity(outcomes, pattern.output_x_from):
-        state = apply_gate(state, "X", [out_idx])
+        mat = mat[::-1, ::-1]
         byproduct = "X" + byproduct
     if pattern.output_gate:
-        state = apply_gate(state, pattern.output_gate, [out_idx])
+        mat = HADAMARD @ mat @ HADAMARD
         byproduct = pattern.output_gate + byproduct
-    if len(current) > 1:
-        state = partial_trace(state, [q for q in range(len(current)) if q != out_idx])
+    if byproduct:
+        state = DensityMatrix._trusted(1, np.array(mat))
     fid = fidelity_pure(target, state) if target is not None else None
     return OneWayResult(outcomes, state, byproduct or "I", probability, target, fid)
 

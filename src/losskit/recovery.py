@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -206,8 +206,8 @@ class SweepRow:
     sigma: float
 
 
-def _shot_sigma(fidelity: float, shots: int) -> float:
-    # Shot noise of estimating F from `shots` two-outcome target projections.
+def shot_sigma(fidelity: float, shots: int) -> float:
+    """Shot noise of estimating F from ``shots`` two-outcome target projections."""
     f = min(max(fidelity, 0.0), 1.0)
     if f < 1e-9 or f > 1.0 - 1e-9:  # suppress roundoff residue at the endpoints
         return 0.0
@@ -217,7 +217,7 @@ def _shot_sigma(fidelity: float, shots: int) -> float:
 def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
                    noise: NoiseSpec | None = None, shots: int = 10000, *,
                    losses: Sequence[int] | None = None,
-                   pairs_for: Callable[[LogicalInput], Sequence[tuple[int, int]]] | None = None,
+                   pairs: Sequence[tuple[int, int]] = (),
                    forced: Sequence[int] | None = None,
                    ) -> list[SweepRow]:
     """Exhaustive branch table over (input, single lost qubit, outcome branch).
@@ -225,6 +225,7 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
     Every branch is executed with forced outcomes, so each row carries the
     exact branch probability and output fidelity; ``sigma`` is the shot
     noise a ``shots``-sample estimate of that fidelity would carry.
+    ``pairs`` places the interfering pairs of the ``noise`` channel.
     Zero-probability branches are omitted, and the kept probabilities of
     each (input, loss) must sum to 1.  ``forced`` runs that one branch per
     (input, loss) instead, and raises if it has zero probability.  Rows are
@@ -238,7 +239,6 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
     for inp in inputs:
         name = inp.name or "custom"
         psi = encode(inp, params)
-        pairs = tuple(pairs_for(inp)) if noise is not None and pairs_for is not None else ()
         for lost_q in loss_positions:
             pattern = LossPattern({lost_q})
             plan = plan_recovery(params, pattern)
@@ -257,6 +257,6 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
                 branch="".join(str(b) for b in bits),
                 probability=res.probability,
                 fidelity=res.fidelity,
-                sigma=_shot_sigma(res.fidelity, shots),
+                sigma=shot_sigma(res.fidelity, shots),
             ) for bits, res in branches)
     return rows

@@ -1,10 +1,11 @@
 """Command-line harness tests: config handling, rows, determinism, golden file."""
 
+import inspect
 import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 from losskit.cli import (
     CSV_COLUMNS,
+    RUNNERS,
     ConfigError,
     ExperimentConfig,
     main,
@@ -55,6 +57,23 @@ class TestConfigParsing:
         path = write_cfg(tmp_path, "c.cfg", "wibble = 3\n")
         with pytest.raises(Exception, match="wibble"):
             parse_config(path)
+
+    def test_scalar_keys_parse_as_the_type_of_their_default(self, tmp_path):
+        cfg = parse_config(write_cfg(tmp_path, "c.cfg", "seed = 7\nnoise_d = 1\nlost = 3\n"))
+        assert (cfg.seed, cfg.noise_d, cfg.lost) == (7, 1.0, "3")
+        assert type(cfg.noise_d) is float
+        for text, message in (("code_n = 2.5", "expected an integer, got '2.5'"),
+                              ("noise_v = high", "expected a number, got 'high'")):
+            with pytest.raises(ConfigError) as err:
+                parse_config(write_cfg(tmp_path, "bad.cfg", text + "\n"))
+            assert err.value.message == f"config field '{text.split()[0]}': {message}"
+
+    def test_commands_come_from_the_runners(self):
+        config_fields = {f.name for f in fields(ExperimentConfig)}
+        assert list(main.commands) == list(RUNNERS)
+        for name, command in main.commands.items():
+            assert command.help == inspect.getdoc(RUNNERS[name])
+            assert {p.name for p in command.params} - {"config_path"} <= config_fields
 
     def test_validation_names_offending_field(self):
         cfg = ExperimentConfig(experiment="encode", code_n=1)
@@ -230,6 +249,16 @@ class TestOutputContracts:
             assert result.exit_code == 0, result.output
         got = b"".join(out.read_bytes() for out in outs)
         assert got == (DATA_DIR / "golden_recover_32.csv").read_bytes()
+
+    def test_json_golden_file(self):
+        # noisy recover and oneway runs of one config, pinned in --format json
+        cfg = str(DATA_DIR / "golden_noisy.cfg")
+        got = ""
+        for cmd in ("recover", "oneway"):
+            result = run_cli([cmd, "--config", cfg, "--format", "json"])
+            assert result.exit_code == 0, result.output
+            got += result.output
+        assert got == (DATA_DIR / "golden_noisy.json").read_text()
 
     def test_schema_and_config_echo(self, tmp_path):
         cfg = write_cfg(tmp_path, "r.cfg", "inputs = V\nshots = 100\nseed = 1\n")

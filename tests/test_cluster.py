@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from losskit.cluster import (
     Graph,
@@ -30,9 +31,11 @@ from losskit.qsim import (
     PauliString,
     Seed,
     StateVector,
+    ZeroProbabilityBranch,
     apply_gate,
     expectation,
     fidelity_pure,
+    forced_branches,
     measure,
     partial_trace,
 )
@@ -286,6 +289,99 @@ class TestRunPattern:
             MeasurementPattern(steps=(PatternStep(1, "z"),), output=1)
 
 
+def gate_applying_run_pattern(state, pattern, labels, forced):
+    """Reference executor: apply Z^z, X^x before each measurement, then Z, X, H on the output.
+
+    Returns ``(outcomes, output matrix, byproduct, probability)``.
+    """
+    current = list(labels)
+    outcomes, probability = {}, 1.0
+
+    def parity(sources):
+        return sum(outcomes[src] for src in sources) % 2
+
+    for bit, step in zip(forced, pattern.steps):
+        idx = current.index(step.qubit)
+        if parity(step.z_from):
+            state = apply_gate(state, "Z", [idx])
+        if parity(step.x_from):
+            state = apply_gate(state, "X", [idx])
+        out, state, p = measure(state, idx, step.basis, alpha=step.alpha, forced=bit)
+        current.remove(step.qubit)
+        outcomes[step.qubit] = out
+        probability *= p
+    out_idx = current.index(pattern.output)
+    word = ""
+    if parity(pattern.output_z_from):
+        state = apply_gate(state, "Z", [out_idx])
+        word += "Z"
+    if parity(pattern.output_x_from):
+        state = apply_gate(state, "X", [out_idx])
+        word = "X" + word
+    if pattern.output_gate:
+        state = apply_gate(state, pattern.output_gate, [out_idx])
+        word = pattern.output_gate + word
+    if len(current) > 1:
+        state = partial_trace(state, [q for q in range(len(current)) if q != out_idx])
+    return outcomes, state.matrix, word or "I", probability
+
+
+@st.composite
+def patterns_on_states(draw):
+    """A state on 2..5 qubits (mixed, or a basis state with zero-probability
+    Z branches) and a random adaptive pattern over some of its qubits."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        state = StateVector.basis_state(n, int(rng.integers(2 ** n))).density()
+    else:
+        kets = rng.normal(size=(2, 2 ** n)) + 1j * rng.normal(size=(2, 2 ** n))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        weight = draw(st.floats(0.5, 1.0))
+        state = DensityMatrix(n, weight * np.outer(kets[0], kets[0].conj())
+                              + (1 - weight) * np.outer(kets[1], kets[1].conj()))
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, n - 1))
+    measured, steps = order[:k], []
+
+    def sources(pool):
+        return tuple(q for q in pool if draw(st.booleans()))
+
+    for i, q in enumerate(measured):
+        basis = draw(st.sampled_from(["z", "x", "b"]))
+        alpha = draw(st.floats(-4, 4)) if basis == "b" else None
+        steps.append(PatternStep(q, basis, alpha, x_from=sources(measured[:i]),
+                                 z_from=sources(measured[:i])))
+    pattern = MeasurementPattern(steps=tuple(steps), output=order[k],
+                                 output_x_from=sources(measured),
+                                 output_z_from=sources(measured),
+                                 output_gate=draw(st.sampled_from(["", "H"])))
+    return state, pattern
+
+
+class TestRunPatternMatchesGateReference:
+    """run_pattern relabels measurements instead of applying the byproduct gates."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(patterns_on_states())
+    def test_every_forced_branch(self, case):
+        state, pattern = case
+        labels = tuple(range(state.n_qubits))
+        for bits in product((0, 1), repeat=len(pattern.steps)):
+            try:
+                want = gate_applying_run_pattern(state, pattern, labels, bits)
+            except ZeroProbabilityBranch:
+                with pytest.raises(ZeroProbabilityBranch):
+                    run_pattern(state, pattern, labels, forced=bits)
+                continue
+            got = run_pattern(state, pattern, labels, forced=bits)
+            outcomes, matrix, word, probability = want
+            assert got.outcomes == outcomes
+            assert got.byproduct == word
+            assert abs(got.probability - probability) <= 1e-12
+            assert np.max(np.abs(got.output_state.matrix - matrix)) <= 1e-12
+
+
 class TestLossTolerantRotation:
     PAPER_ALPHAS = (0.0, -math.pi / 2, -math.pi / 3)
 
@@ -327,6 +423,16 @@ class TestLossTolerantRotation:
                                             NoiseSpec(white_noise_v=v), forced=(0, 0, 0))
             assert result.fidelity < last
             last = result.fidelity
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.floats(-4, 4), st.floats(0.5, 1.0), st.floats(0.0, 0.2), st.floats(0.5, 1.0),
+           st.sampled_from([(), ((0, 1),), ((1, 3), (2, 4))]))
+    def test_noisy_branch_probabilities_sum_to_one(self, alpha, v, d, vis, pairs):
+        noise = NoiseSpec(white_noise_v=v, pair_dephasing_d=d, epr_visibility=vis)
+        for case in LOSS_CASES:
+            branches = list(forced_branches(3, lambda bits: loss_tolerant_rotation(
+                case, alpha, noise, interfering_pairs=pairs, forced=bits)))
+            assert abs(sum(result.probability for _, result in branches) - 1) <= 1e-12
 
     def test_sampled_outcomes_reproducible(self):
         seed = Seed(77)
