@@ -25,8 +25,8 @@ import click
 import numpy as np
 
 from .codes import MAX_TOTAL_QUBITS, CodeParams, PRESETS, encode
-from .cluster import LOSS_CASES, loss_case_pattern, loss_tolerant_rotation, phi5
-from .qsim import NoiseSpec, Seed, apply_channel, forced_branches
+from .cluster import LOSS_CASES, loss_case_pattern, phi5, rotation_sweep
+from .qsim import NoiseSpec, Seed, apply_channel
 from .recovery import recovery_sweep, shot_sigma
 from .tomography import (MAX_DECOMP_QUBITS, decompose_projector, estimate_fidelity,
                          group_settings, simulate_counts)
@@ -81,26 +81,22 @@ def _fmt_number(x: float) -> str:
 
 def _parse_angle(token: str, key: str) -> float:
     text = token.strip().lower().replace(" ", "")
-    sign = 1.0
-    if text.startswith(("-", "+")):
-        if text[0] == "-":
-            sign = -1.0
-        text = text[1:]
-    if "pi" in text:
-        left, _, right = text.partition("pi")
-        try:
-            factor = float(left) if left else 1.0
+    sign = -1.0 if text.startswith("-") else 1.0
+    text = text[1:] if text.startswith(("-", "+")) else text
+    left, pi, right = text.partition("pi")
+    try:
+        value = float(left) if left or not pi else 1.0
+        if pi:
             if right.startswith("/"):
-                factor /= float(right[1:])
+                value /= float(right[1:])
             elif right:
                 raise ValueError
-        except ValueError:
-            raise ConfigError(key, f"cannot parse angle {token!r}") from None
-        return sign * factor * math.pi
-    try:
-        return sign * float(text)
-    except ValueError:
+            value *= math.pi
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(key, f"cannot parse angle {token!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(key, f"angle {token!r} is not a finite number")
+    return sign * value
 
 
 def _parse_pairs(text: str, key: str) -> tuple[tuple[int, int], ...]:
@@ -166,6 +162,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name in cfg.inputs:
         if name not in PRESETS:
             raise ConfigError("inputs", f"unknown input preset {name!r}")
+    if cfg.experiment in ("encode", "recover") and not cfg.inputs:
+        raise ConfigError("inputs", "expected at least one input preset")
     for key, value in (("noise_v", cfg.noise_v), ("noise_d", cfg.noise_d),
                        ("noise_visibility", cfg.noise_visibility)):
         if not 0.0 <= value <= 1.0:
@@ -190,12 +188,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError("dephase_pairs", f"pair ({i}, {j}) out of range")
     widths = set()   # outcome bits per branch
     if cfg.experiment == "oneway":
+        if not cfg.alphas:
+            raise ConfigError("alphas", "expected at least one angle")
+        expected = "/".join(sorted(LOSS_CASES))
+        if not _oneway_cases(cfg):
+            raise ConfigError("lost", f"expected {expected}, got {cfg.lost!r}")
         for case in _oneway_cases(cfg):
             if case not in LOSS_CASES:
-                raise ConfigError("lost", f"unsupported loss case {case!r}; "
-                                          f"expected {'/'.join(sorted(LOSS_CASES))}")
+                raise ConfigError("lost", f"unsupported loss case {case!r}; expected {expected}")
             widths.add(len(loss_case_pattern(case, 0.0).steps))
     if cfg.experiment == "recover":
+        if cfg.code_m < 2:   # a single-block code cannot recover any loss
+            raise ConfigError("code_m", f"recovery needs at least 2 blocks, got {cfg.code_m}")
         _recover_losses(cfg)
         widths = {total - 2}
     if cfg.force_branch:
@@ -368,23 +372,12 @@ def run_recover(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def run_oneway(cfg: ExperimentConfig) -> list[ResultRow]:
     """One-way rotation under photon loss, all forced branches."""
-    noise = _noise(cfg)
-    pairs = _noise_pairs(cfg, "phi5", None)
     forced = _branch_bits(cfg.force_branch) if cfg.force_branch else None
-    rows = []
-    for case in _oneway_cases(cfg):
-        for alpha in cfg.alphas:
-            steps = len(loss_case_pattern(case, alpha).steps)
-            branches = forced_branches(
-                steps, lambda bits: loss_tolerant_rotation(case, alpha, noise,
-                                                           interfering_pairs=pairs, forced=bits),
-                forced, where=f"loss case {case}, alpha {_fmt_number(alpha)}, ")
-            rows.extend(ResultRow(
-                experiment="oneway", input="phi5", lost=case,
-                branch="".join(str(b) for b in bits), alpha=alpha,
-                fidelity=result.fidelity, sigma=shot_sigma(result.fidelity, cfg.shots),
-                shots=cfg.shots, seed=cfg.seed) for bits, result in branches)
-    return rows
+    sweep = rotation_sweep(_oneway_cases(cfg), cfg.alphas, _noise(cfg),
+                           pairs=_noise_pairs(cfg, "phi5", None), forced=forced)
+    return [ResultRow(experiment="oneway", input="phi5", lost=r.case, branch=r.branch,
+                      alpha=r.alpha, fidelity=r.fidelity, sigma=shot_sigma(r.fidelity, cfg.shots),
+                      shots=cfg.shots, seed=cfg.seed) for r in sweep]
 
 
 RUNNERS = {

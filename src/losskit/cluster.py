@@ -25,6 +25,7 @@ so alpha in {0, -pi/2, -pi/3} produces |+>, |R>, |S>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .qsim import (
     NoiseSpec,
     PauliString,
     StateVector,
+    ZeroProbabilityBranch,
     apply_gate,
     expectation,
     fidelity_pure,
@@ -375,6 +377,39 @@ def run_pattern(state: DensityMatrix, pattern: MeasurementPattern,
     return OneWayResult(outcomes, state, byproduct or "I", probability, target, fid)
 
 
+def pattern_branches(state: DensityMatrix, pattern: MeasurementPattern,
+                     labels: Sequence[Vertex], *,
+                     target: StateVector | None = None,
+                     forced: Sequence[int] | None = None,
+                     where: str = "pattern") -> list[tuple[tuple[int, ...], OneWayResult]]:
+    """``(bits, run_pattern(...))`` for every nonzero forced branch of ``pattern``.
+
+    Branches run in ascending bit order, each from ``state``; one whose
+    forced outcome has zero probability is skipped, and the kept
+    probabilities must sum to 1.  With ``forced`` only that branch runs, and
+    a zero probability raises :class:`ZeroProbabilityBranch` naming
+    ``where`` and the bits.
+    """
+    if forced is not None:
+        bits = tuple(forced)
+        try:
+            return [(bits, run_pattern(state, pattern, labels, forced=bits, target=target))]
+        except ZeroProbabilityBranch as exc:
+            raise ZeroProbabilityBranch(
+                f"{where}, branch {''.join(map(str, bits))}: {exc}") from None
+    branches = []
+    for bits in product((0, 1), repeat=len(pattern.steps)):
+        try:
+            branches.append((bits, run_pattern(state, pattern, labels, forced=bits,
+                                               target=target)))
+        except ZeroProbabilityBranch:
+            continue
+    total = sum(result.probability for _, result in branches)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{where}: branch probabilities sum to {total:.12g}, not 1")
+    return branches
+
+
 # --------------------------------------------------------------------------
 # the five-photon resource state and the Fig-style loss cases
 
@@ -429,6 +464,17 @@ def loss_case_pattern(lost: str, alpha: float) -> MeasurementPattern:
     )
 
 
+def _rotation_setup(lost: str, alpha: float, noise: NoiseSpec | None,
+                    interfering_pairs: Sequence[tuple[int, int]],
+                    ) -> tuple[DensityMatrix, MeasurementPattern, tuple[int, ...]]:
+    """phi5 after the case's loss, the case's pattern, and the survivors' photon labels."""
+    pattern = loss_case_pattern(lost, alpha)
+    erase_photon = LOSS_CASES[lost]["erase"]   # photon k lives on qubit k-1
+    rho = post_loss_state(phi5(), [erase_photon - 1], noise, interfering_pairs)
+    labels = tuple(p for p in range(1, 6) if p != erase_photon)
+    return rho, pattern, labels
+
+
 def loss_tolerant_rotation(lost: str, alpha: float, noise: NoiseSpec | None = None, *,
                            interfering_pairs: Sequence[tuple[int, int]] = (),
                            forced: Sequence[int] | None = None,
@@ -439,9 +485,42 @@ def loss_tolerant_rotation(lost: str, alpha: float, noise: NoiseSpec | None = No
     and compares the readout photon against ``rotation_target(alpha)``.
     ``forced`` fixes the (helper, redundant, rotation) outcome bits.
     """
-    pattern = loss_case_pattern(lost, alpha)
-    erase_photon = LOSS_CASES[lost]["erase"]   # photon k lives on qubit k-1
-    rho = post_loss_state(phi5(), [erase_photon - 1], noise, interfering_pairs)
-    labels = tuple(p for p in range(1, 6) if p != erase_photon)
+    rho, pattern, labels = _rotation_setup(lost, alpha, noise, interfering_pairs)
     return run_pattern(rho, pattern, labels, forced=forced, rng=rng,
                        target=rotation_target(alpha))
+
+
+@dataclass(frozen=True)
+class RotationRow:
+    """One (loss case, alpha, branch) cell of a rotation sweep."""
+
+    case: str
+    alpha: float
+    branch: str
+    probability: float
+    fidelity: float
+
+
+def rotation_sweep(cases: Sequence[str], alphas: Sequence[float],
+                   noise: NoiseSpec | None = None, *,
+                   pairs: Sequence[tuple[int, int]] = (),
+                   forced: Sequence[int] | None = None) -> list[RotationRow]:
+    """Exhaustive branch table over (loss case, alpha, outcome branch).
+
+    Each row carries the exact branch probability and the fidelity against
+    ``rotation_target(alpha)``; ``pairs`` places the interfering pairs of
+    the ``noise`` channel.  Zero-probability branches are omitted, and the
+    kept probabilities of each (case, alpha) must sum to 1.  ``forced`` runs
+    that one branch per (case, alpha) instead, and raises if it has zero
+    probability.  Rows are ordered by case and alpha (as given), then
+    branch bits lexicographically.
+    """
+    rows = []
+    for case in cases:
+        for alpha in alphas:
+            rho, pattern, labels = _rotation_setup(case, alpha, noise, pairs)
+            branches = pattern_branches(rho, pattern, labels, target=rotation_target(alpha),
+                                        forced=forced, where=f"loss case {case}, alpha {alpha:.9f}")
+            rows.extend(RotationRow(case, alpha, "".join(map(str, bits)), res.probability,
+                                    res.fidelity) for bits, res in branches)
+    return rows

@@ -53,8 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -79,15 +78,6 @@ _I_POWERS = (1, 1j, -1, -1j)          # i^k for k mod 4; also the allowed phases
 # letter -> bit of the X-mask and of the Z-mask; Y = i X Z sets both
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
-
-# (a, b) -> (letter of a*b, phase of a*b)
-_PAULI_PRODUCT = {
-    ("I", "I"): ("I", 1), ("I", "X"): ("X", 1), ("I", "Y"): ("Y", 1), ("I", "Z"): ("Z", 1),
-    ("X", "I"): ("X", 1), ("X", "X"): ("I", 1), ("X", "Y"): ("Z", 1j), ("X", "Z"): ("Y", -1j),
-    ("Y", "I"): ("Y", 1), ("Y", "X"): ("Z", -1j), ("Y", "Y"): ("I", 1), ("Y", "Z"): ("X", 1j),
-    ("Z", "I"): ("Z", 1), ("Z", "X"): ("Y", 1j), ("Z", "Y"): ("X", -1j), ("Z", "Z"): ("I", 1),
-}
-
 
 def rz_matrix(alpha: float) -> np.ndarray:
     """Rotation about Z: diag(exp(-i alpha/2), exp(+i alpha/2))."""
@@ -236,17 +226,6 @@ class PauliString:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if len(other) != len(self):
-            raise ValueError("Pauli string lengths differ")
-        phase = self.phase * other.phase
-        letters = []
-        for a, b in zip(self.letters, other.letters):
-            letter, extra = _PAULI_PRODUCT[(a, b)]
-            letters.append(letter)
-            phase *= extra
-        return PauliString("".join(letters), phase)
 
     @classmethod
     def from_support(cls, n_qubits: int, assignments: dict[int, str],
@@ -509,33 +488,6 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
         mat, prob = (m0, m1)[outcome], (p0, p1)[outcome]
     mat /= prob
     return MeasurementResult(outcome, DensityMatrix._trusted(rho.n_qubits - 1, mat), prob)
-
-
-def forced_branches(k: int, run: Callable[[tuple[int, ...]], object],
-                    forced: Sequence[int] | None = None, *,
-                    where: str = "") -> Iterator[tuple[tuple[int, ...], object]]:
-    """Yield ``(bits, run(bits))`` for every nonzero branch of ``k`` forced outcomes.
-
-    Branches run in ascending bit order; one whose forced outcome has zero
-    probability is skipped.  With ``forced`` only that branch runs, and a
-    zero probability raises :class:`ZeroProbabilityBranch` naming ``where``
-    and the bits.
-    """
-    if forced is not None:
-        bits = tuple(forced)
-        try:
-            result = run(bits)
-        except ZeroProbabilityBranch as exc:
-            raise ZeroProbabilityBranch(
-                f"{where}branch {''.join(map(str, bits))}: {exc}") from None
-        yield bits, result
-        return
-    for bits in product((0, 1), repeat=k):
-        try:
-            result = run(bits)
-        except ZeroProbabilityBranch:
-            continue
-        yield bits, result
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,11 @@ polarization is not.  ``recovery_sweep`` builds each post-loss state with
 noise spec, so it never forms the full 2^n x 2^n density matrix; ``erase``
 traces the lost qubits out of a density matrix that a caller already holds.
 
-Recovery is a one-way measurement pattern on the survivors: it measures
-every surviving qubit except one target, and the feedforward word is the
+A recovery plan is a ``cluster.MeasurementPattern`` on the survivors, so it
+runs on the same engine as the one-way rotation: ``execute_recovery`` runs
+one branch through ``cluster.run_pattern`` and ``recovery_sweep`` runs every
+branch through ``cluster.pattern_branches``.  The plan measures every
+surviving qubit except one target, and the feedforward word is the
 pattern's output frame on the target:
 
 - every non-target block is removed by Z-measuring all of its survivors;
@@ -29,9 +32,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cluster import MeasurementPattern, OneWayResult, PatternStep, run_pattern
+from .cluster import MeasurementPattern, OneWayResult, PatternStep, pattern_branches, run_pattern
 from .codes import CodeParams, LogicalInput, encode
-from .qsim import DensityMatrix, NoiseSpec, forced_branches, partial_trace, post_loss_state
+from .qsim import DensityMatrix, NoiseSpec, partial_trace, post_loss_state
 
 
 @dataclass(frozen=True)
@@ -47,53 +50,6 @@ class LossPattern:
         for q in self.lost:
             if not 0 <= q < params.total:
                 raise ValueError(f"lost qubit {q} out of range for {params.total} qubits")
-
-
-@dataclass(frozen=True)
-class RecoveryPlan:
-    """Measurement schedule for a given loss pattern.
-
-    ``z_measurements`` lists the Z-measured qubits in execution order,
-    grouped per block in ``z_blocks`` for parity bookkeeping;
-    ``x_measurements`` lists the X-measured qubits of the target block.
-    """
-
-    params: CodeParams
-    pattern: LossPattern
-    z_measurements: tuple[int, ...]
-    x_measurements: tuple[int, ...]
-    target: int
-    z_blocks: tuple[tuple[int, ...], ...] = ()
-
-    def __post_init__(self) -> None:
-        measured = set(self.z_measurements) | set(self.x_measurements)
-        if self.target in measured:
-            raise ValueError("target qubit may not be measured")
-        if set(self.z_measurements) & set(self.x_measurements):
-            raise ValueError("z and x measurement lists overlap")
-        everything = measured | {self.target} | set(self.pattern.lost)
-        if everything != set(range(self.params.total)):
-            raise ValueError("plan does not partition the physical qubits")
-
-    @property
-    def measurement_order(self) -> tuple[int, ...]:
-        return self.z_measurements + self.x_measurements
-
-    @property
-    def survivors(self) -> tuple[int, ...]:
-        return tuple(sorted(set(range(self.params.total)) - self.pattern.lost))
-
-    @property
-    def measurement_pattern(self) -> MeasurementPattern:
-        """The plan as a one-way pattern: Z steps, X steps, then the H X^z Z^x frame."""
-        return MeasurementPattern(
-            steps=tuple(PatternStep(q, "z") for q in self.z_measurements)
-            + tuple(PatternStep(q, "x") for q in self.x_measurements),
-            output=self.target,
-            output_x_from=tuple(block[0] for block in self.z_blocks),
-            output_z_from=self.x_measurements,
-            output_gate="H",
-        )
 
 
 def erase(rho: DensityMatrix, pattern: LossPattern) -> DensityMatrix:
@@ -120,37 +76,40 @@ def _default_target(params: CodeParams, intact_blocks: Sequence[int]) -> int:
     return params.block_qubits(min(intact_blocks))[-1]
 
 
-def _build_plan(params: CodeParams, pattern: LossPattern, target: int | None,
-                intact_blocks: Sequence[int]) -> RecoveryPlan:
+def _survivors(plan: MeasurementPattern) -> tuple[int, ...]:
+    """A plan's qubits, ascending: it measures every survivor but its output."""
+    return tuple(sorted([step.qubit for step in plan.steps] + [plan.output]))
+
+
+def _build_plan(params: CodeParams, loss: LossPattern, target: int | None,
+                intact_blocks: Sequence[int]) -> MeasurementPattern:
     if target is None:
         target = _default_target(params, intact_blocks)
     target_block = params.block_of(target)
     if target_block not in intact_blocks:
         raise ValueError(f"target qubit {target} lies in a damaged block")
-    lost = pattern.lost
     z_blocks = []
-    z_list: list[int] = []
     for b in range(params.m):
-        if b == target_block:
-            continue
-        survivors = tuple(q for q in params.block_qubits(b) if q not in lost)
-        if survivors:
+        survivors = tuple(q for q in params.block_qubits(b) if q not in loss.lost)
+        if b != target_block and survivors:
             z_blocks.append(survivors)
-            z_list.extend(survivors)
     x_list = tuple(q for q in params.block_qubits(target_block) if q != target)
-    return RecoveryPlan(
-        params=params,
-        pattern=pattern,
-        z_measurements=tuple(z_list),
-        x_measurements=x_list,
-        target=target,
-        z_blocks=tuple(z_blocks),
+    plan = MeasurementPattern(
+        steps=tuple(PatternStep(q, "z") for block in z_blocks for q in block)
+        + tuple(PatternStep(q, "x") for q in x_list),
+        output=target,
+        output_x_from=tuple(block[0] for block in z_blocks),
+        output_z_from=x_list,
+        output_gate="H",
     )
+    if set(_survivors(plan)) | loss.lost != set(range(params.total)):
+        raise ValueError("plan does not partition the physical qubits")
+    return plan
 
 
 def plan_recovery(params: CodeParams, pattern: LossPattern,
-                  target: int | None = None) -> RecoveryPlan:
-    """Measurement-and-correction plan decoding the logical qubit onto ``target``.
+                  target: int | None = None) -> MeasurementPattern:
+    """Measurement pattern decoding the logical qubit onto ``target``.
 
     The target defaults to the highest-index qubit of the lowest-index intact
     block.  Raises if the pattern is not recoverable.
@@ -163,8 +122,8 @@ def plan_recovery(params: CodeParams, pattern: LossPattern,
 
 
 def best_effort_plan(params: CodeParams, pattern: LossPattern,
-                     target: int | None = None) -> RecoveryPlan:
-    """Decoding plan for unrecoverable patterns (fully lost blocks allowed).
+                     target: int | None = None) -> MeasurementPattern:
+    """Decoding pattern for unrecoverable patterns (fully lost blocks allowed).
 
     Fully lost blocks contribute no z-parity information; their sign is
     assumed 0, so the output is generally mixed.
@@ -177,21 +136,20 @@ def best_effort_plan(params: CodeParams, pattern: LossPattern,
     return _build_plan(params, pattern, target, intact)
 
 
-def execute_recovery(rho: DensityMatrix, plan: RecoveryPlan, *,
+def execute_recovery(rho: DensityMatrix, plan: MeasurementPattern, *,
                      reference: LogicalInput | None = None,
                      forced: Sequence[int] | None = None,
                      rng: np.random.Generator | None = None) -> OneWayResult:
-    """Run the plan's measurement pattern on the post-loss state.
+    """Run a recovery plan on the post-loss state.
 
     ``rho`` must hold exactly the surviving qubits, ascending by original
-    index.  ``forced`` selects outcome bits in plan order (all Z
+    index.  ``forced`` selects outcome bits in step order (all Z
     measurements, then all X measurements); otherwise outcomes are sampled
     from ``rng``.  The result's ``byproduct`` is the feedforward word and
     its ``fidelity`` is taken against ``reference``.
     """
     target = reference.statevector() if reference is not None else None
-    return run_pattern(rho, plan.measurement_pattern, plan.survivors,
-                       forced=forced, rng=rng, target=target)
+    return run_pattern(rho, plan, _survivors(plan), forced=forced, rng=rng, target=target)
 
 
 @dataclass(frozen=True)
@@ -238,19 +196,13 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
     rows: list[SweepRow] = []
     for inp in inputs:
         name = inp.name or "custom"
-        psi = encode(inp, params)
+        psi, target = encode(inp, params), inp.statevector()
         for lost_q in loss_positions:
-            pattern = LossPattern({lost_q})
-            plan = plan_recovery(params, pattern)
-            reduced = post_loss_state(psi, pattern.lost, noise, pairs)
-            branches = list(forced_branches(
-                len(plan.measurement_order),
-                lambda bits: execute_recovery(reduced, plan, reference=inp, forced=bits),
-                forced, where=f"input {name}, lost qubit {lost_q}, "))
-            total = sum(res.probability for _, res in branches)
-            if forced is None and abs(total - 1.0) > 1e-9:
-                raise ValueError(f"input {name}, lost qubit {lost_q}: branch "
-                                 f"probabilities sum to {total:.12g}, not 1")
+            loss = LossPattern({lost_q})
+            plan = plan_recovery(params, loss)
+            reduced = post_loss_state(psi, loss.lost, noise, pairs)
+            branches = pattern_branches(reduced, plan, _survivors(plan), target=target,
+                                        forced=forced, where=f"input {name}, lost qubit {lost_q}")
             rows.extend(SweepRow(
                 input_name=name,
                 lost=lost_q,

@@ -269,7 +269,7 @@ def test_unrecoverable_block_loss_bound():
         inp = random_input(rng)
         reduced = erase(encode(inp, P22).density(), pattern)
         value = 0.0
-        for bits in product((0, 1), repeat=len(plan.measurement_order)):
+        for bits in product((0, 1), repeat=len(plan.steps)):
             rec = execute_recovery(reduced, plan, reference=inp, forced=bits)
             value += rec.probability * rec.fidelity
         total += value

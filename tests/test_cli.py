@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from losskit import cluster
 from losskit.cli import (
     CSV_COLUMNS,
     RUNNERS,
@@ -95,6 +96,11 @@ class TestConfigParsing:
         ("recover", "code_n = 3\ncode_m = 2\nforce_branch = 01\n", "force_branch"),
         ("oneway", "force_branch = 01\n", "force_branch"),
         ("oneway", "force_branch = 0101\n", "force_branch"),
+        ("encode", "inputs = ,\n", "inputs"),
+        ("recover", "inputs = ,\n", "inputs"),
+        ("oneway", "alphas = ,\n", "alphas"),
+        ("oneway", "lost = ,\n", "lost"),
+        ("recover", "code_m = 1\n", "code_m"),   # no single-block code survives a loss
     ])
     def test_lost_and_branch_width_checked_up_front(self, tmp_path, experiment, text, field):
         cfg = write_cfg(tmp_path, "bad.cfg", "inputs = V\nshots = 10\n" + text)
@@ -104,6 +110,14 @@ class TestConfigParsing:
         parsed = replace(parse_config(cfg), experiment=experiment)
         with pytest.raises(ConfigError, match=field):   # caught before any runner starts
             validate_config(parsed)
+
+
+    @pytest.mark.parametrize("angle", ["pi/0", "inf", "nan", "1e400"])
+    def test_bad_angle_exits_2(self, tmp_path, angle):
+        cfg = write_cfg(tmp_path, "bad.cfg", f"alphas = 0, {angle}\n")
+        result = run_cli(["oneway", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config field 'alphas'" in result.output
 
 
 class TestEncodeCommand:
@@ -295,10 +309,13 @@ class TestOutputContracts:
         assert proc.returncode == 0, proc.stderr
         assert "encode,PLUS" in proc.stdout
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # (2, 1) has no intact block once any qubit is lost: recovery cannot plan
-        cfg = write_cfg(tmp_path, "r.cfg",
-                        "inputs = V\ncode_n = 2\ncode_m = 1\nshots = 10\nseed = 1\n")
-        result = run_cli(["recover", "--config", cfg])
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+        # branch probabilities that do not sum to 1 are a numerical failure
+        real = cluster.run_pattern
+        monkeypatch.setattr(cluster, "run_pattern",
+                            lambda *args, **kwargs: replace(real(*args, **kwargs), probability=0.5))
+        cfg = write_cfg(tmp_path, "o.cfg", "lost = photon2\nalphas = 0\nshots = 10\n")
+        result = run_cli(["oneway", "--config", cfg])
         assert result.exit_code == 3
-        assert "not recoverable" in result.output
+        assert ("loss case photon2, alpha 0.000000000: "
+                "branch probabilities sum to 4, not 1") in result.output

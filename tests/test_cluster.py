@@ -1,12 +1,14 @@
 """Graph-state tests: rewrite rules, byproducts, and the loss-tolerant rotation."""
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from losskit import cluster
 from losskit.cluster import (
     Graph,
     LOSS_CASES,
@@ -19,8 +21,10 @@ from losskit.cluster import (
     graph_z_remove,
     indirect_z,
     loss_tolerant_rotation,
+    pattern_branches,
     phi5,
     phi5_graph,
+    rotation_sweep,
     rotation_target,
     run_pattern,
     vertex_stabilizer,
@@ -35,7 +39,6 @@ from losskit.qsim import (
     apply_gate,
     expectation,
     fidelity_pure,
-    forced_branches,
     measure,
     partial_trace,
 )
@@ -382,6 +385,58 @@ class TestRunPatternMatchesGateReference:
             assert np.max(np.abs(got.output_state.matrix - matrix)) <= 1e-12
 
 
+def reference_forced_branches(k, run, forced=None, *, where=""):
+    """The flat enumerator that ``pattern_branches`` replaced: ``run`` is opaque."""
+    if forced is not None:
+        bits = tuple(forced)
+        try:
+            result = run(bits)
+        except ZeroProbabilityBranch as exc:
+            raise ZeroProbabilityBranch(
+                f"{where}branch {''.join(map(str, bits))}: {exc}") from None
+        yield bits, result
+        return
+    for bits in product((0, 1), repeat=k):
+        try:
+            result = run(bits)
+        except ZeroProbabilityBranch:
+            continue
+        yield bits, result
+
+
+class TestPatternBranchesMatchFlatLoop:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(patterns_on_states())
+    def test_same_branches_as_the_flat_loop(self, case):
+        state, pattern = case
+        labels = tuple(range(state.n_qubits))
+        target = StateVector.from_amplitudes([0.6, 0.8j])
+
+        def run(bits):
+            return run_pattern(state, pattern, labels, forced=bits, target=target)
+
+        def same(got, want):
+            assert [bits for bits, _ in got] == [bits for bits, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert (a.outcomes, a.byproduct, a.probability, a.fidelity) == (
+                    b.outcomes, b.byproduct, b.probability, b.fidelity)
+                assert np.array_equal(a.output_state.matrix, b.output_state.matrix)
+
+        k = len(pattern.steps)
+        same(pattern_branches(state, pattern, labels, target=target),
+             list(reference_forced_branches(k, run)))
+        for bits in product((0, 1), repeat=k):
+            try:
+                want = list(reference_forced_branches(k, run, bits, where="case, "))
+            except ZeroProbabilityBranch as exc:
+                with pytest.raises(ZeroProbabilityBranch) as err:
+                    pattern_branches(state, pattern, labels, target=target, forced=bits,
+                                     where="case")
+                assert str(err.value) == str(exc)
+                continue
+            same(pattern_branches(state, pattern, labels, target=target, forced=bits), want)
+
+
 class TestLossTolerantRotation:
     PAPER_ALPHAS = (0.0, -math.pi / 2, -math.pi / 3)
 
@@ -430,9 +485,33 @@ class TestLossTolerantRotation:
     def test_noisy_branch_probabilities_sum_to_one(self, alpha, v, d, vis, pairs):
         noise = NoiseSpec(white_noise_v=v, pair_dephasing_d=d, epr_visibility=vis)
         for case in LOSS_CASES:
-            branches = list(forced_branches(3, lambda bits: loss_tolerant_rotation(
-                case, alpha, noise, interfering_pairs=pairs, forced=bits)))
-            assert abs(sum(result.probability for _, result in branches) - 1) <= 1e-12
+            rows = rotation_sweep([case], [alpha], noise, pairs=pairs)
+            assert abs(sum(row.probability for row in rows) - 1) <= 1e-12
+
+    def test_sweep_rows_match_single_runs(self):
+        noise = NoiseSpec(white_noise_v=0.7, pair_dephasing_d=0.1)
+        rows = rotation_sweep(["photon4", "photon2"], [0.3, -1.1], noise, pairs=((0, 1),))
+        assert [(r.case, r.alpha) for r in rows[::8]] == [
+            ("photon4", 0.3), ("photon4", -1.1), ("photon2", 0.3), ("photon2", -1.1)]
+        for row in rows:
+            bits = tuple(int(b) for b in row.branch)
+            single = loss_tolerant_rotation(row.case, row.alpha, noise,
+                                            interfering_pairs=((0, 1),), forced=bits)
+            assert (row.probability, row.fidelity) == (single.probability, single.fidelity)
+        forced = rotation_sweep(["photon2"], [0.3], noise, pairs=((0, 1),), forced=(1, 0, 1))
+        assert [r.branch for r in forced] == ["101"]
+
+    def test_sweep_checks_probabilities_sum_to_one(self, monkeypatch):
+        real = cluster.run_pattern
+
+        def leaky(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return replace(result, probability=0.5 * result.probability)
+
+        monkeypatch.setattr(cluster, "run_pattern", leaky)
+        with pytest.raises(ValueError, match="loss case photon4, alpha 0.250000000: "
+                                             "branch probabilities sum to 0.5, not 1"):
+            rotation_sweep(["photon4"], [0.25])
 
     def test_sampled_outcomes_reproducible(self):
         seed = Seed(77)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import losskit.cluster
 import losskit.qsim
+from losskit.cluster import MeasurementPattern, PatternStep, pattern_branches
 from losskit.qsim import (
     CNOT_MATRIX,
     CZ_MATRIX,
@@ -30,7 +32,6 @@ from losskit.qsim import (
     basis_vectors,
     expectation,
     fidelity_pure,
-    forced_branches,
     measure,
     partial_trace,
     post_loss_state,
@@ -499,33 +500,35 @@ class TestPostLossState:
 
 
 class TestForcedBranches:
-    @staticmethod
-    def run_bell(bits):
-        # Z-measure both halves of a Bell pair: branches 01 and 10 never occur
-        state, prob = bell_phi_plus().density(), 1.0
-        for b in bits:
-            _, state, p = measure(state, 0, "z", forced=b)
-            prob *= p
-        return prob
+    """``cluster.pattern_branches``, the one enumerator of a pattern's forced branches."""
+
+    # Z-measure two qubits of a GHZ state: branches 01 and 10 never occur
+    GHZ = ket(1, 0, 0, 0, 0, 0, 0, 1).density()
+    ZZ = MeasurementPattern(steps=(PatternStep(0, "z"), PatternStep(1, "z")), output=2)
+
+    def branches(self, **kwargs):
+        return pattern_branches(self.GHZ, self.ZZ, (0, 1, 2), **kwargs)
 
     def test_ascending_order_skips_zero_probability(self):
-        got = list(forced_branches(2, self.run_bell))
+        got = self.branches()
         assert [bits for bits, _ in got] == [(0, 0), (1, 1)]
-        assert [p for _, p in got] == pytest.approx([0.5, 0.5])
+        assert [r.probability for _, r in got] == pytest.approx([0.5, 0.5])
 
     def test_forced_branch_runs_alone(self):
-        assert list(forced_branches(2, self.run_bell, (1, 1))) == [((1, 1), pytest.approx(0.5))]
+        ((bits, result),) = self.branches(forced=(1, 1))
+        assert bits == (1, 1) and result.probability == pytest.approx(0.5)
 
     def test_forced_zero_probability_propagates_with_context(self):
         with pytest.raises(ZeroProbabilityBranch, match="pair A, branch 01: forced outcome 1"):
-            list(forced_branches(2, self.run_bell, [0, 1], where="pair A, "))
+            self.branches(forced=[0, 1], where="pair A")
 
-    def test_other_errors_propagate(self):
-        def broken(bits):
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
             raise ValueError("not a zero-probability branch")
 
+        monkeypatch.setattr(losskit.cluster, "run_pattern", broken)
         with pytest.raises(ValueError, match="not a zero-probability"):
-            list(forced_branches(1, broken))
+            self.branches()
 
 
 class TestExpectationAndFidelity:
@@ -560,23 +563,6 @@ class TestExpectationAndFidelity:
 
 
 class TestPauliString:
-    def test_product_closure_and_square(self):
-        xy = PauliString("XY")
-        yx = PauliString("YX")
-        prod = xy * yx
-        assert prod.letters == "ZZ"
-        assert abs(prod.phase - (1j * -1j)) < 1e-12
-        sq = xy * xy
-        assert sq.letters == "II"
-        assert abs(sq.phase - 1) < 1e-12
-
-    def test_associativity_sample(self):
-        a, b, c = PauliString("XZ"), PauliString("YY"), PauliString("ZX")
-        left = (a * b) * c
-        right = a * (b * c)
-        assert left.letters == right.letters
-        assert abs(left.phase - right.phase) < 1e-12
-
     def test_validation(self):
         with pytest.raises(ValueError, match="invalid Pauli letters"):
             PauliString("XA")

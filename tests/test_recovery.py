@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from losskit.codes import CodeParams, LogicalInput, PRESETS, encode
-from losskit import recovery
+from losskit import cluster
+from losskit.cluster import pattern_branches
 from losskit.qsim import (DensityMatrix, NoiseSpec, Seed, StateVector, ZeroProbabilityBranch,
-                          apply_channel, apply_gate, fidelity_pure, forced_branches)
+                          apply_channel, apply_gate, fidelity_pure)
 from losskit.recovery import (
     LossPattern,
     best_effort_plan,
@@ -30,7 +31,11 @@ def random_input(rng):
 
 
 def all_branches(plan):
-    return product((0, 1), repeat=len(plan.measurement_order))
+    return product((0, 1), repeat=len(plan.steps))
+
+
+def steps(plan):
+    return [(step.qubit, step.basis) for step in plan.steps]
 
 
 class TestErase:
@@ -80,39 +85,31 @@ class TestRecoverable:
 class TestPlanRecovery:
     def test_first_qubit_lost_plan_matches_feedforward_table(self):
         plan = plan_recovery(P22, LossPattern({0}), target=3)
-        assert plan.z_measurements == (1,)
-        assert plan.x_measurements == (2,)
-        assert plan.target == 3
-        pattern = plan.measurement_pattern
-        assert [(s.qubit, s.basis) for s in pattern.steps] == [(1, "z"), (2, "x")]
-        assert pattern.output == 3
-        assert (pattern.output_x_from, pattern.output_z_from) == ((1,), (2,))
-        assert pattern.output_gate == "H"
+        assert steps(plan) == [(1, "z"), (2, "x")]
+        assert plan.output == 3
+        assert (plan.output_x_from, plan.output_z_from) == ((1,), (2,))
+        assert plan.output_gate == "H"
 
     def test_mirrored_block_plan(self):
         plan = plan_recovery(P22, LossPattern({3}), target=1)
-        assert plan.z_measurements == (2,)
-        assert plan.x_measurements == (0,)
-        assert plan.target == 1
+        assert steps(plan) == [(2, "z"), (0, "x")]
+        assert plan.output == 1
 
     def test_default_target_choice(self):
         # highest-index qubit of the lowest-index intact block
-        assert plan_recovery(P22, LossPattern({0})).target == 3
-        assert plan_recovery(P22, LossPattern({2})).target == 1
+        assert plan_recovery(P22, LossPattern({0})).output == 3
+        assert plan_recovery(P22, LossPattern({2})).output == 1
 
     def test_no_loss_plan_decodes_every_input(self):
         # redundancy only: the non-target block is removed by Z measurements
         plan = plan_recovery(P22, LossPattern(), target=3)
-        assert set(plan.z_measurements) == {0, 1}
-        assert plan.x_measurements == (2,)
+        assert steps(plan) == [(0, "z"), (1, "z"), (2, "x")]
         rng = np.random.default_rng(31)
         for _ in range(10):
             inp = random_input(rng)
             rho = encode(inp, P22).density()
             # intra-block disagreement has probability zero and is skipped
-            branches = list(forced_branches(
-                len(plan.measurement_order),
-                lambda bits: execute_recovery(rho, plan, reference=inp, forced=bits)))
+            branches = pattern_branches(rho, plan, range(4), target=inp.statevector())
             assert len(branches) == 4
             assert abs(sum(rec.probability for _, rec in branches) - 1) < 1e-12
             for _, rec in branches:
@@ -173,9 +170,7 @@ class TestExecuteRecovery:
         for _ in range(5):
             inp = random_input(rng)
             rho = erase(encode(inp, params).density(), pattern)
-            branches = list(forced_branches(
-                len(plan.measurement_order),
-                lambda bits: execute_recovery(rho, plan, reference=inp, forced=bits)))
+            branches = pattern_branches(rho, plan, range(2, 6), target=inp.statevector())
             assert len(branches) == 8   # one Z and two X outcomes, all possible
             assert abs(sum(rec.probability for _, rec in branches) - 1) < 1e-12
             for _, rec in branches:
@@ -302,7 +297,7 @@ class TestRecoverySweep:
         def broken(*args, **kwargs):
             raise ValueError("broken branch")
 
-        monkeypatch.setattr(recovery, "execute_recovery", broken)
+        monkeypatch.setattr(cluster, "run_pattern", broken)
         with pytest.raises(ValueError, match="broken branch"):
             recovery_sweep([PRESETS["V"]], P22)
 
@@ -310,6 +305,6 @@ class TestRecoverySweep:
         def never(*args, **kwargs):
             raise ZeroProbabilityBranch("forced outcome 0 has zero probability")
 
-        monkeypatch.setattr(recovery, "execute_recovery", never)
+        monkeypatch.setattr(cluster, "run_pattern", never)
         with pytest.raises(ValueError, match="input PLUS, lost qubit 2: branch probabilities"):
             recovery_sweep([PRESETS["PLUS"]], P22, losses=[2])
