@@ -191,9 +191,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not cfg.alphas:
             raise ConfigError("alphas", "expected at least one angle")
         expected = "/".join(sorted(LOSS_CASES))
-        if not _oneway_cases(cfg):
+        cases = _oneway_cases(cfg)
+        if not cases:
             raise ConfigError("lost", f"expected {expected}, got {cfg.lost!r}")
-        for case in _oneway_cases(cfg):
+        if len(set(cases)) != len(cases):
+            raise ConfigError("lost", f"expected distinct loss cases, got {cfg.lost!r}")
+        for case in cases:
             if case not in LOSS_CASES:
                 raise ConfigError("lost", f"unsupported loss case {case!r}; expected {expected}")
             widths.add(len(loss_case_pattern(case, 0.0).steps))

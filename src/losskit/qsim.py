@@ -34,12 +34,13 @@ the whole channel is one elementwise pass over the matrix.
 
 The two hot kernels work on basis indices rather than tensor axes:
 
-- ``expectation`` writes a Pauli string as an X-mask x, a Z-mask z (its Y
-  and Z positions) and a Y count ny, so ``P|c> = i^ny (-1)^popcount(c & z)
-  |c ^ x>``.  A state vector costs one gather ``psi[c ^ x]`` times a sign
-  table; a density matrix costs one gather of ``rho[c, c ^ x]``, O(2^n)
-  instead of an O(8^n) matrix product.  The index and sign tables are built
-  once per qubit count, on first use.
+- ``expectation`` reads a Pauli string as its X-mask x, Z-mask z (its Y
+  and Z positions) and i^ny for ny Y letters, which ``PauliString`` parses
+  once, so ``P|c> = i^ny (-1)^popcount(c & z) |c ^ x>``.  A state vector
+  costs one gather ``psi[c ^ x]`` times a sign table; a density matrix
+  costs one gather of ``rho[c, c ^ x]``, O(2^n) instead of an O(8^n)
+  matrix product.  The index and sign tables are built once per qubit
+  count, on first use.
 - ``measure`` views ``rho`` as blocks ``t[a, i, b, c, j, d]`` with ``i, j``
   the measured qubit.  A Z outcome is the slice ``t[:, o, :, :, o, :]``; an
   X or B(alpha) outcome is ``0.5 (diag +- coh)`` with ``diag = t00 + t11``
@@ -51,7 +52,7 @@ The two hot kernels work on basis indices rather than tensor axes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -209,12 +210,20 @@ class DensityMatrix:
 State = Union[StateVector, DensityMatrix]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliString:
-    """A signed tensor product of single-qubit Pauli operators."""
+    """A signed tensor product of single-qubit Pauli operators.
+
+    The letters are parsed once, into the X-mask ``x_mask`` (X and Y
+    positions), the Z-mask ``z_mask`` (Z and Y positions), with qubit q at
+    bit n-1-q, and ``y_phase`` = i^ny for ny Y letters, since Y = i X Z.
+    """
 
     letters: str
     phase: complex = 1 + 0j
+    x_mask: int = field(init=False, repr=False, compare=False)
+    z_mask: int = field(init=False, repr=False, compare=False)
+    y_phase: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not set(self.letters) <= _PAULI_LETTERS:
@@ -223,6 +232,10 @@ class PauliString:
         if phase not in _I_POWERS and not any(abs(phase - p) < 1e-12 for p in _I_POWERS):
             raise ValueError(f"phase must be one of +-1, +-i, got {phase}")
         object.__setattr__(self, "phase", phase)
+        # the "0" parses the empty string too
+        object.__setattr__(self, "x_mask", int("0" + self.letters.translate(_X_BITS), 2))
+        object.__setattr__(self, "z_mask", int("0" + self.letters.translate(_Z_BITS), 2))
+        object.__setattr__(self, "y_phase", _I_POWERS[self.letters.count("Y") % 4])
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -505,15 +518,14 @@ def _bit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def expectation(state: State, obs: PauliString) -> float:
     """Expectation value Tr(rho P) (or <psi|P|psi>) of a Hermitian Pauli string.
 
-    With X-mask x, Z-mask z (the Y and Z positions) and ny Y letters,
-    P|c> = i^ny (-1)^popcount(c & z) |c ^ x>, so one gather evaluates it.
+    With the string's X-mask x, Z-mask z (the Y and Z positions) and ny Y
+    letters, P|c> = i^ny (-1)^popcount(c & z) |c ^ x>, so one gather
+    evaluates it.  The masks and i^ny are read from the string, not parsed.
     """
     n = _n_qubits(state)
     if len(obs) != n:
         raise ValueError(f"Pauli string length {len(obs)} does not match {n} qubits")
-    x = int("0" + obs.letters.translate(_X_BITS), 2)   # the "0" parses n = 0 too
-    z = int("0" + obs.letters.translate(_Z_BITS), 2)
-    i_power = _I_POWERS[obs.letters.count("Y") % 4]
+    x, z, i_power = obs.x_mask, obs.z_mask, obs.y_phase
     idx, signs = _bit_tables(n)
     flipped = idx ^ x
     if isinstance(state, StateVector):

@@ -32,6 +32,23 @@ same F.
 Error bars propagate per-outcome Poisson variances (var(count) = count)
 through the linear estimator; multinomial covariance corrections are
 deliberately not applied.
+
+Each step does only the work the estimate reads:
+
+- ``decompose_projector`` makes one ``expectation`` call per Pauli string,
+  walking a table of the 4^n strings in ``product("IXYZ")`` order that is
+  built once per qubit count.  Each string parses its letters once, into
+  the X-mask, Z-mask and i^ny that ``expectation`` reads.
+- ``setting_probabilities`` forms only the diagonal of the rotated state.
+  Per qubit it rotates the row bit by u^dagger and the column bit by u^T,
+  each as one 2x2 matrix product, and keeps the blocks where the two bits
+  agree, so the array halves with each qubit.  Every kept entry goes
+  through the same products as a rotation of the whole matrix would, so
+  the probabilities, and the multinomial draws, are bitwise the same.
+  ``basis_matrix`` results are cached, read-only.
+- The coherence families are found once per decomposition and shared by
+  ``group_settings`` and ``estimate_fidelity``; outcome signs are one
+  gather from the cached parity table.
 """
 
 from __future__ import annotations
@@ -39,8 +56,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -49,7 +67,8 @@ from .qsim import (
     PauliString,
     Seed,
     StateVector,
-    _apply_on_axes,
+    _bit_tables,
+    _freeze,
     expectation,
 )
 
@@ -72,12 +91,23 @@ class PauliDecomposition:
             if not pauli.is_hermitian():
                 raise ValueError("decomposition terms must be Hermitian")
 
+    @cached_property
+    def _families(self) -> tuple[_Family, ...]:
+        """The coherence families, found once for grouping and estimation."""
+        return _coherence_families(self)
+
     def reconstruct(self) -> np.ndarray:
         dim = 2 ** self.n_qubits
         out = np.zeros((dim, dim), dtype=complex)
         for coeff, pauli in self.terms:
             out += coeff * pauli.matrix()
         return out
+
+
+@lru_cache(maxsize=None)
+def _pauli_strings(n: int) -> tuple[PauliString, ...]:
+    """Every n-qubit Pauli string in ``product("IXYZ")`` order, built on first use."""
+    return tuple(PauliString("".join(letters)) for letters in product("IXYZ", repeat=n))
 
 
 def decompose_projector(psi: StateVector) -> PauliDecomposition:
@@ -91,8 +121,7 @@ def decompose_projector(psi: StateVector) -> PauliDecomposition:
         raise ValueError(f"decomposition limited to {MAX_DECOMP_QUBITS} qubits, got {n}")
     scale = 1.0 / 2 ** n
     terms = []
-    for letters in product("IXYZ", repeat=n):
-        pauli = PauliString("".join(letters))
+    for pauli in _pauli_strings(n):
         coeff = expectation(psi, pauli) * scale
         if abs(coeff) >= 1e-12:
             terms.append((coeff, pauli))
@@ -108,10 +137,11 @@ def _equatorial_token(degrees: int) -> str:
     return f"M{deg}"
 
 
+@lru_cache(maxsize=None)
 def basis_matrix(token: str) -> np.ndarray:
-    """Unitary whose columns are the (outcome 0, outcome 1) basis kets."""
+    """Unitary whose columns are the (outcome 0, outcome 1) basis kets; read-only."""
     if token == "Z":
-        return np.eye(2, dtype=complex)
+        return _freeze(np.eye(2, dtype=complex))
     if token == "X":
         theta = 0.0
     elif token == "Y":
@@ -121,7 +151,7 @@ def basis_matrix(token: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown basis token {token!r}")
     phase = np.exp(1j * theta)
-    return np.array([[1, 1], [phase, -phase]], dtype=complex) / _SQ2
+    return _freeze(np.array([[1, 1], [phase, -phase]], dtype=complex) / _SQ2)
 
 
 @dataclass(frozen=True)
@@ -132,10 +162,6 @@ class Setting:
 
     def label(self) -> str:
         return ".".join(self.bases)
-
-
-def _is_diagonal(pauli: PauliString) -> bool:
-    return all(c in "IZ" for c in pauli.letters)
 
 
 def _compatible(pauli: PauliString, bases: tuple[str, ...]) -> bool:
@@ -179,6 +205,7 @@ class _Family:
     """
 
     flips: tuple[int, ...]
+    flip_mask: int          # the X-mask of every term in the family
     conditions: tuple[int, ...]
     indices: tuple[int, ...]
     parts: tuple[_Part, ...]
@@ -270,10 +297,10 @@ def _family_on(decomp: PauliDecomposition, flips: tuple[int, ...],
         delegated = [p for p in parts if p.bases is None]
         if len(explicit) + len(delegated) >= len(patterns):
             return None
-    return _Family(flips, conditions, tuple(indices), tuple(parts))
+    return _Family(flips, terms[0][1].x_mask, conditions, tuple(indices), tuple(parts))
 
 
-def _coherence_families(decomp: PauliDecomposition) -> list[_Family]:
+def _coherence_families(decomp: PauliDecomposition) -> tuple[_Family, ...]:
     """Coherence families, one per X/Y support, in term order."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, (_, pauli) in enumerate(decomp.terms):
@@ -281,7 +308,7 @@ def _coherence_families(decomp: PauliDecomposition) -> list[_Family]:
         if flips:
             groups.setdefault(flips, []).append(i)
     families = (_family_on(decomp, flips, indices) for flips, indices in groups.items())
-    return [f for f in families if f is not None]
+    return tuple(f for f in families if f is not None)
 
 
 def _greedy_pauli_cover(n: int, targets: Sequence[PauliString]) -> list[tuple[str, ...]]:
@@ -318,13 +345,13 @@ def group_settings(decomp: PauliDecomposition) -> list[Setting]:
     covering setting.
     """
     n = decomp.n_qubits
-    families = _coherence_families(decomp)
+    families = decomp._families
     in_family = {i for fam in families for i in fam.indices}
     targets = [p for i, (_, p) in enumerate(decomp.terms)
                if p.weight > 0 and i not in in_family]
 
     chosen: set[tuple[str, ...]] = set()
-    if any(_is_diagonal(p) for p in targets):
+    if any(p.x_mask == 0 for p in targets):   # a diagonal (I/Z-only) term
         chosen.add(tuple("Z" for _ in range(n)))
     for fam in families:
         for part in fam.parts:
@@ -358,17 +385,30 @@ class CountsTable:
 
 
 def setting_probabilities(rho: DensityMatrix, setting: Setting) -> np.ndarray:
-    """Exact outcome probabilities of measuring every qubit in the setting bases."""
+    """Exact outcome probabilities of measuring every qubit in the setting bases.
+
+    Only the diagonal is formed.  Qubit q's row bit i is rotated by u^dagger
+    and its column bit j by u^T, each as one ``(2, 2) @ (2, N)`` product, and
+    only the blocks with i == j are kept, so the array halves per qubit.
+    Each kept entry goes through the same products as in a rotation of the
+    whole matrix, so the probabilities, and the sampled counts, are the same
+    to the bit; a kernel that sums in another order (einsum) is not.
+    """
     n = rho.n_qubits
     if len(setting.bases) != n:
         raise ValueError("setting size does not match the state")
-    t = rho.matrix.reshape((2,) * (2 * n))
+    t = rho.matrix.reshape(1, 1, -1)   # [o, d, (r, c)]: last outcome o, earlier outcomes d
     for q, token in enumerate(setting.bases):
+        rest = 2 ** (n - 1 - q)
         u = basis_matrix(token)
-        t = _apply_on_axes(t, u.conj().T, [q])
-        t = _apply_on_axes(t, u.T, [n + q])
-    mat = t.reshape(2 ** n, 2 ** n)
-    probs = np.real(np.diag(mat)).copy()
+        # [o, d, i, r, j, c] -> [i, (d, o, r, j, c)]: qubit q's row bit first
+        t = t.reshape(len(t), -1, 2, rest, 2, rest).transpose(2, 1, 0, 3, 4, 5).reshape(2, -1)
+        t = u.conj().T @ t
+        # [i, d, r, j, c] -> [j, (i, d, r, c)]: its column bit first
+        t = t.reshape(2, -1, rest, 2, rest).transpose(3, 0, 1, 2, 4).reshape(2, -1)
+        t = u.T @ t
+        t = t.reshape(4, 1, -1)[::3]   # [o, d, (r, c)]: the blocks with j == i
+    probs = np.real(t.reshape(2, -1)).T.flatten()   # outcome index (d, o)
     probs[probs < 0] = 0.0
     return probs / probs.sum()
 
@@ -395,17 +435,15 @@ def exact_counts(rho: DensityMatrix, setting: Setting, shots: int) -> CountsTabl
     return CountsTable(setting, shots, probs * shots)
 
 
-def _sign_vector(n: int, support: Iterable[int]) -> np.ndarray:
-    outcomes = np.arange(2 ** n)
-    parity = np.zeros(2 ** n, dtype=int)
-    for q in support:
-        parity ^= (outcomes >> (n - 1 - q)) & 1
-    return 1.0 - 2.0 * parity
+def _sign_vector(n: int, mask: int) -> np.ndarray:
+    """(-1)^popcount(o & mask) at every outcome o."""
+    idx, signs = _bit_tables(n)
+    return signs[idx & mask]
 
 
 def _part_weights(n: int, family: _Family, part: _Part) -> np.ndarray:
     """Outcome weights with which ``part`` adds to the estimate of F."""
-    weights = part.scale * part.sign * _sign_vector(n, family.flips)
+    weights = part.scale * part.sign * _sign_vector(n, family.flip_mask)
     if part.sector is not None:
         outcomes = np.arange(2 ** n)
         for j, q in enumerate(family.conditions):
@@ -440,7 +478,7 @@ def estimate_fidelity(tables: Sequence[CountsTable],
     weights = {b: np.zeros(2 ** n, dtype=float) for b in ordered}
 
     claimed: set[int] = set()
-    for family in _coherence_families(decomp):
+    for family in decomp._families:
         holders = [_part_holder(family, part, ordered) for part in family.parts]
         if None in holders:
             continue
@@ -458,7 +496,7 @@ def estimate_fidelity(tables: Sequence[CountsTable],
         holder = next((b for b in ordered if _compatible(pauli, b)), None)
         if holder is None:
             raise ValueError(f"term {pauli.letters} is not covered by any table")
-        weights[holder] += coeff * _sign_vector(n, pauli.support)
+        weights[holder] += coeff * _sign_vector(n, pauli.x_mask | pauli.z_mask)
 
     variance = 0.0
     for bases in ordered:

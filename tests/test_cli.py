@@ -100,6 +100,7 @@ class TestConfigParsing:
         ("recover", "inputs = ,\n", "inputs"),
         ("oneway", "alphas = ,\n", "alphas"),
         ("oneway", "lost = ,\n", "lost"),
+        ("oneway", "lost = photon2,photon2\n", "lost"),   # each row would print twice
         ("recover", "code_m = 1\n", "code_m"),   # no single-block code survives a loss
     ])
     def test_lost_and_branch_width_checked_up_front(self, tmp_path, experiment, text, field):
@@ -273,6 +274,19 @@ class TestOutputContracts:
             assert result.exit_code == 0, result.output
             got += result.output
         assert got == (DATA_DIR / "golden_noisy.json").read_text()
+
+    def test_tomography_golden_file(self, tmp_path):
+        # noisy encode at (2, 2) and (2, 3) plus noisy cluster-fidelity; with
+        # 1000 shots a setting probability off by one bit moves a draw
+        got = b""
+        for cmd, cfg in (("encode", "golden_tomography_22.cfg"),
+                         ("encode", "golden_tomography_23.cfg"),
+                         ("cluster-fidelity", "golden_tomography_cluster.cfg")):
+            out = tmp_path / "out.csv"
+            result = run_cli([cmd, "--config", str(DATA_DIR / cfg), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            got += out.read_bytes()
+        assert got == (DATA_DIR / "golden_tomography.csv").read_bytes()
 
     def test_schema_and_config_echo(self, tmp_path):
         cfg = write_cfg(tmp_path, "r.cfg", "inputs = V\nshots = 100\nseed = 1\n")

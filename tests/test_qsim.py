@@ -579,6 +579,22 @@ class TestPauliString:
         np.testing.assert_allclose(PauliString("Y", phase=-1j).matrix(),
                                    -1j * PAULI_Y, atol=1e-12)
 
+    def test_cached_masks_match_letters(self):
+        # every string of length <= 4, the empty one included
+        for n in range(5):
+            idx = np.arange(2 ** n)
+            for letters in map("".join, product("IXYZ", repeat=n)):
+                pauli = PauliString(letters)
+                bits = [1 << (n - 1 - q) for q in range(n)]
+                assert pauli.x_mask == sum(b for b, c in zip(bits, letters) if c in "XY")
+                assert pauli.z_mask == sum(b for b, c in zip(bits, letters) if c in "YZ")
+                assert pauli.y_phase == 1j ** letters.count("Y")
+                # P|c> = i^ny (-1)^popcount(c & z) |c ^ x>
+                parity = np.array([bin(c & pauli.z_mask).count("1") & 1 for c in idx])
+                expected = np.zeros((2 ** n, 2 ** n), dtype=complex)
+                expected[idx ^ pauli.x_mask, idx] = pauli.y_phase * (1 - 2 * parity)
+                np.testing.assert_array_equal(pauli.matrix(), expected)
+
 
 class TestChannels:
     def test_noiseless_limit(self):

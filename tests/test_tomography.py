@@ -1,19 +1,23 @@
 """Decomposition, setting grouping, counts simulation, and estimator tests."""
 
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from losskit import tomography
 from losskit.codes import CodeParams, PRESETS, encode
 from losskit.cluster import phi5
 from losskit.qsim import (DensityMatrix, NoiseSpec, PauliString, Seed, StateVector,
-                          apply_channel, apply_gate, fidelity_pure)
+                          _apply_on_axes, _bit_tables, apply_channel, apply_gate,
+                          fidelity_pure)
 from losskit.tomography import (
     CountsTable,
     Setting,
+    basis_matrix,
     decompose_projector,
     estimate_fidelity,
     exact_counts,
@@ -78,6 +82,32 @@ class TestDecomposeProjector:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             decompose_projector(StateVector.basis_state(7, 0))
+
+
+def reference_decompose_projector(psi):
+    """The per-term loop: build every Pauli string, parse its letters, one gather each."""
+    n = psi.n_qubits
+    idx, signs = _bit_tables(n)
+    amps = psi.amplitudes
+    scale = 1.0 / 2 ** n
+    terms = []
+    for letters in product("IXYZ", repeat=n):
+        pauli = PauliString("".join(letters))
+        x = int("0" + pauli.letters.translate(str.maketrans("IXYZ", "0110")), 2)
+        z = int("0" + pauli.letters.translate(str.maketrans("IXYZ", "0011")), 2)
+        i_power = (1, 1j, -1, -1j)[pauli.letters.count("Y") % 4]
+        flipped = idx ^ x
+        phi = amps[flipped] * signs[flipped & z]
+        if i_power != 1:
+            phi *= i_power
+        coeff = float((pauli.phase * np.vdot(amps, phi)).real) * scale
+        if abs(coeff) >= 1e-12:
+            terms.append((coeff, pauli))
+    return terms
+
+
+def term_bits(terms):
+    return [(pauli.letters, pauli.phase, coeff.hex()) for coeff, pauli in terms]
 
 
 class TestGroupSettings:
@@ -169,6 +199,40 @@ def _greedy_cases():
 
 
 GREEDY_CASES = _greedy_cases()
+CODE_CASES = [name for name in sorted(GREEDY_CASES) if not name.startswith("random")]
+
+
+@lru_cache(maxsize=None)
+def noisy_case(name):
+    """The state of ``name``, its noisy density matrix and its grouped settings."""
+    psi = GREEDY_CASES[name]()
+    chain = [(q, q + 1) for q in range(psi.n_qubits - 1)]
+    rho = apply_channel(psi.density(), NoiseSpec(0.9, 0.04, 0.93), interfering_pairs=chain)
+    return psi, rho, group_settings(decompose_projector(psi))
+
+
+class TestDecompositionReference:
+    @pytest.mark.parametrize("name", sorted(GREEDY_CASES) + ["random5-6", "random6-7"])
+    def test_terms_match_reference_loop(self, name):
+        if name in GREEDY_CASES:
+            psi = GREEDY_CASES[name]()
+        else:
+            n, seed = map(int, name.removeprefix("random").split("-"))
+            psi = random_state(np.random.default_rng(seed), n)
+        decomp = decompose_projector(psi)
+        assert term_bits(decomp.terms) == term_bits(reference_decompose_projector(psi))
+
+    def test_families_found_once_per_decomposition(self, monkeypatch):
+        calls = []
+        real = tomography._coherence_families
+        monkeypatch.setattr(tomography, "_coherence_families",
+                            lambda decomp: calls.append(decomp) or real(decomp))
+        psi = phi5()
+        decomp = decompose_projector(psi)
+        settings = group_settings(decomp)
+        estimate_fidelity([exact_counts(psi.density(), s, 100) for s in settings], decomp)
+        assert group_settings(decomp) == settings
+        assert len(calls) == 1
 
 
 class TestGreedyCover:
@@ -184,6 +248,45 @@ class TestGreedyCover:
         targets = [p for _, p in decomp.terms if p.weight > 0]
         picks = tomography._greedy_pauli_cover(4, targets)
         assert picks == reference_greedy_cover(4, targets)
+
+
+def reference_setting_probabilities(rho, setting):
+    """Rotate every row and column axis of the full matrix, then read its diagonal."""
+    n = rho.n_qubits
+    t = rho.matrix.reshape((2,) * (2 * n))
+    for q, token in enumerate(setting.bases):
+        u = basis_matrix(token)
+        t = _apply_on_axes(t, u.conj().T, [q])
+        t = _apply_on_axes(t, u.T, [n + q])
+    probs = np.real(np.diag(t.reshape(2 ** n, 2 ** n))).copy()
+    probs[probs < 0] = 0.0
+    return probs / probs.sum()
+
+
+BASIS_TOKENS = st.one_of(st.sampled_from(["Z", "X", "Y"]),
+                         st.integers(0, 359).map(lambda deg: f"M{deg}"))
+
+
+class TestProbabilityReference:
+    @pytest.mark.parametrize("name", CODE_CASES)
+    def test_grouped_settings_match_reference(self, name):
+        _, rho, settings = noisy_case(name)
+        for setting in settings:
+            assert np.array_equal(setting_probabilities(rho, setting),
+                                  reference_setting_probabilities(rho, setting)), setting
+
+    @hypothesis_settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_random_states_and_bases_match_reference(self, n, seed, data):
+        rho = random_full_rank(np.random.default_rng(seed), n)
+        setting = Setting(tuple(data.draw(st.lists(BASIS_TOKENS, min_size=n, max_size=n))))
+        assert np.array_equal(setting_probabilities(rho, setting),
+                              reference_setting_probabilities(rho, setting))
+
+    def test_basis_matrices_are_cached_and_read_only(self):
+        u = basis_matrix("M45")
+        assert u is basis_matrix("M45")
+        assert not u.flags.writeable
 
 
 class TestSimulateCounts:
