@@ -349,8 +349,14 @@ def run_pattern(state: DensityMatrix, pattern: MeasurementPattern,
         alpha = -step.alpha if flip_x and step.basis == "b" else step.alpha
         flip = flip_x if step.basis == "z" else _parity(outcomes, step.z_from)
         want = forced[i] ^ flip if forced is not None else None
-        out, state, p = measure(state, current.index(step.qubit), step.basis, alpha=alpha,
-                                forced=want, rng=rng)
+        try:
+            out, state, p = measure(state, current.index(step.qubit), step.basis,
+                                    alpha=alpha, forced=want, rng=rng)
+        except ZeroProbabilityBranch:
+            # name the requested bit, not the relabelled one measure saw
+            relabel = f" (measured as {want} after feedforward)" if flip else ""
+            raise ZeroProbabilityBranch(f"forced outcome {forced[i]} on qubit {step.qubit!r} "
+                                        f"has zero probability{relabel}") from None
         current.remove(step.qubit)
         outcomes[step.qubit] = out ^ flip
         probability *= p

@@ -47,6 +47,13 @@ The two hot kernels work on basis indices rather than tensor axes:
   and ``coh = e^{i alpha} t01 + e^{-i alpha} t10``.  Both sums pair each
   entry with its conjugate partner, so the kept block of an exactly
   Hermitian ``rho`` is exactly Hermitian and needs no symmetrising pass.
+  The kept block is normalised by one in-place multiply of its float64
+  view by ``w * (1 / p)``, where the weight w (1 for Z, 0.5 for X and
+  B(alpha)) is folded in rather than applied in a pass of its own, and
+  ``p = w * trace``.  numpy divides by a complex with zero imaginary part
+  as ``(re + im * 0) * (1 / p)``, and a power-of-two weight scales
+  exactly, so the result has the bits of ``w * block / p``, the sign of
+  a zero aside, at a fraction of the cost of a complex division.
 """
 
 from __future__ import annotations
@@ -160,7 +167,7 @@ class StateVector:
 
 
 def _check_trace(mat: np.ndarray) -> None:
-    tr = complex(np.trace(mat))
+    tr = complex(mat.trace())
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"density matrix has trace {tr}, expected 1")
 
@@ -184,15 +191,16 @@ class DensityMatrix:
 
     @classmethod
     def _trusted(cls, n_qubits: int, mat: np.ndarray) -> "DensityMatrix":
-        """Wrap a fresh ``mat`` that is Hermitian by construction, without a copy.
+        """Wrap a fresh complex ``mat`` that is Hermitian by construction, without a copy.
 
         The caller hands over ownership: ``mat`` is frozen in place.  Only
         the trace is checked.
         """
         _check_trace(mat)
+        mat.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "n_qubits", n_qubits)
-        object.__setattr__(rho, "matrix", _freeze(mat))
+        object.__setattr__(rho, "matrix", mat)
         return rho
 
     @classmethod
@@ -433,39 +441,39 @@ def basis_vectors(basis: str, alpha: float | None = None) -> tuple[np.ndarray, n
 
 
 def _kept_blocks(rho: DensityMatrix, qubit: int, basis: str, alpha: float | None,
-                 outcomes: Sequence[int]) -> list[tuple[np.ndarray, float]]:
-    """Each outcome's unnormalised kept state <o|rho|o>, as a fresh matrix, and its trace.
+                 outcomes: Sequence[int]) -> tuple[float, list[tuple[np.ndarray, float]]]:
+    """Each outcome's kept state <o|rho|o> as ``weight * block``, and its trace.
 
-    ``rho`` is viewed as ``t[a, i, b, c, j, d]`` with ``i``, ``j`` the measured
-    qubit, so a Z outcome is the slice ``t[:, o, :, :, o, :]``.  For the kets
-    (|0> +- e^{i alpha}|1>)/sqrt2 the kept block is ``0.5 (diag +- coh)``;
-    both terms are sums of conjugate pairs, so a Hermitian ``rho`` gives an
-    exactly Hermitian block.
+    ``block`` is a fresh matrix.  ``rho`` is viewed as ``t[a, i, b, c, j, d]``
+    with ``i``, ``j`` the measured qubit, so a Z outcome is the slice
+    ``t[:, o, :, :, o, :]`` with weight 1.  For the kets
+    (|0> +- e^{i alpha}|1>)/sqrt2 the block is ``diag +- coh`` with weight
+    0.5, left unapplied so that ``measure`` folds it into its normalising
+    multiply; both terms are sums of conjugate pairs, so a Hermitian ``rho``
+    gives an exactly Hermitian block.
     """
     n = rho.n_qubits
     high, low = 2 ** qubit, 2 ** (n - qubit - 1)
     dim = high * low
     t = rho.matrix.reshape(high, 2, low, high, 2, low)
     if basis == "z":
+        weight = 1.0
         blocks = [np.array(t[:, o, :, :, o, :]) for o in outcomes]
-        return [_with_trace(block.reshape(dim, dim)) for block in blocks]
-    diag = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
-    if basis == "x":
-        coh = t[:, 0, :, :, 1, :] + t[:, 1, :, :, 0, :]
     else:
-        phase = np.exp(1j * alpha)
-        coh = phase * t[:, 0, :, :, 1, :]
-        coh += np.conj(phase) * t[:, 1, :, :, 0, :]
-    combine = (np.add, np.subtract)
-    blocks = [combine[o](diag, coh) for o in outcomes[:-1]]
-    blocks.append(combine[outcomes[-1]](diag, coh, out=diag))  # the last reuses diag
-    for block in blocks:
-        block *= 0.5
-    return [_with_trace(block.reshape(dim, dim)) for block in blocks]
-
-
-def _with_trace(block: np.ndarray) -> tuple[np.ndarray, float]:
-    return block, float(np.real(np.trace(block)))
+        weight = 0.5
+        diag = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
+        if basis == "x":
+            coh = t[:, 0, :, :, 1, :] + t[:, 1, :, :, 0, :]
+        else:
+            phase = np.exp(1j * alpha)
+            coh = phase * t[:, 0, :, :, 1, :]
+            coh += np.conj(phase) * t[:, 1, :, :, 0, :]
+        combine = (np.add, np.subtract)
+        blocks = [combine[o](diag, coh) for o in outcomes[:-1]]
+        blocks.append(combine[outcomes[-1]](diag, coh, out=diag))  # the last reuses diag
+    blocks = [block.reshape(dim, dim) for block in blocks]
+    # a power-of-two weight scales every partial sum of the trace exactly
+    return weight, [(block, weight * float(block.trace().real)) for block in blocks]
 
 
 def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
@@ -488,7 +496,7 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
         if forced not in (0, 1):
             raise ValueError("forced outcome must be 0 or 1")
         outcome = forced
-        ((mat, prob),) = _kept_blocks(rho, qubit, name, alpha, (forced,))
+        weight, ((mat, prob),) = _kept_blocks(rho, qubit, name, alpha, (forced,))
         if prob < _ZERO_PROB:
             raise ZeroProbabilityBranch(
                 f"forced outcome {forced} has zero probability ({prob:.3e})"
@@ -496,10 +504,18 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
     else:
         if rng is None:
             raise ValueError("measure needs either an rng or a forced outcome")
-        (m0, p0), (m1, p1) = _kept_blocks(rho, qubit, name, alpha, (0, 1))
+        weight, ((m0, p0), (m1, p1)) = _kept_blocks(rho, qubit, name, alpha, (0, 1))
         outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
         mat, prob = (m0, m1)[outcome], (p0, p1)[outcome]
-    mat /= prob
+    # One real multiply of the float64 view.  numpy divides by a complex
+    # with zero imaginary part as (re + im * 0) * (1 / prob), so this gives
+    # the bits of ``weight * block / prob`` up to the sign of a zero.  The
+    # view needs a contiguous last axis: a block sliced from an F-ordered
+    # rho keeps that order, so it is copied to C order first (a no-op for
+    # the usual C block).
+    mat = np.ascontiguousarray(mat)
+    real = mat.view(np.float64)
+    real *= weight * (1.0 / prob)
     return MeasurementResult(outcome, DensityMatrix._trusted(rho.n_qubits - 1, mat), prob)
 
 

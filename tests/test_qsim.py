@@ -326,6 +326,55 @@ def reference_measure(rho, qubit, basis, alpha, rng):
     return outcome, ((m0, p0), (m1, p1))[outcome]
 
 
+def reference_slice_measure(rho, qubit, basis, alpha, forced=None, rng=None):
+    """The slice kernel that divided by the probability: kept block, ``*= 0.5``, ``/= prob``."""
+    n = rho.n_qubits
+    high, low = 2 ** qubit, 2 ** (n - qubit - 1)
+    dim = high * low
+    t = rho.matrix.reshape(high, 2, low, high, 2, low)
+    outcomes = (forced,) if forced is not None else (0, 1)
+    if basis == "z":
+        blocks = [np.array(t[:, o, :, :, o, :]) for o in outcomes]
+    else:
+        diag = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
+        if basis == "x":
+            coh = t[:, 0, :, :, 1, :] + t[:, 1, :, :, 0, :]
+        else:
+            phase = np.exp(1j * alpha)
+            coh = phase * t[:, 0, :, :, 1, :]
+            coh += np.conj(phase) * t[:, 1, :, :, 0, :]
+        combine = (np.add, np.subtract)
+        blocks = [combine[o](diag, coh) for o in outcomes[:-1]]
+        blocks.append(combine[outcomes[-1]](diag, coh, out=diag))
+        for block in blocks:
+            block *= 0.5
+    kept = [(block.reshape(dim, dim), float(np.real(np.trace(block.reshape(dim, dim)))))
+            for block in blocks]
+    if forced is not None:
+        outcome, ((mat, prob),) = forced, kept
+    else:
+        (m0, p0), (m1, p1) = kept
+        outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
+        mat, prob = (m0, m1)[outcome], (p0, p1)[outcome]
+    mat /= prob
+    return outcome, mat, prob
+
+
+def assert_measure_bitwise(rho, qubit, basis, alpha, seed):
+    """``measure`` equals ``reference_slice_measure`` bit for bit, forced and drawn."""
+    for forced in (0, 1):
+        _, state, prob = measure(rho, qubit, basis, alpha=alpha, forced=forced)
+        _, ref_mat, ref_prob = reference_slice_measure(rho, qubit, basis, alpha, forced=forced)
+        assert prob == ref_prob, (qubit, basis, forced)
+        assert np.array_equal(state.matrix, ref_mat), (qubit, basis, forced)
+    outcome, state, prob = measure(rho, qubit, basis, alpha=alpha,
+                                   rng=np.random.default_rng(seed))
+    ref_outcome, ref_mat, ref_prob = reference_slice_measure(
+        rho, qubit, basis, alpha, rng=np.random.default_rng(seed))
+    assert (outcome, prob) == (ref_outcome, ref_prob), (qubit, basis)
+    assert np.array_equal(state.matrix, ref_mat), (qubit, basis)
+
+
 def mixed_state(rng, n):
     """A full-rank state with no special structure: a noisy, rotated random pure state."""
     rho = apply_gate(random_state(rng, n).density(), "RZ", [n - 1], alpha=0.37)
@@ -412,6 +461,40 @@ class TestKernelsAgainstReference:
             assert outcome == ref_outcome
             assert abs(prob - ref_prob) <= 1e-12
             assert np.max(np.abs(state.matrix - ref_mat)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_measure_bitwise_equals_division_kernel(self, n):
+        # array_equal counts -0.0 equal to 0.0: a sign of zero is the only
+        # place a multiply by 1/prob and numpy's complex division can differ
+        rng = np.random.default_rng(60 + n)
+        rho = mixed_state(rng, n)
+        for qubit, basis in product(range(n), ("z", "x", "b")):
+            alpha = rng.uniform(-4, 4) if basis == "b" else None
+            assert_measure_bitwise(rho, qubit, basis, alpha, int(rng.integers(2 ** 32)))
+
+    @INVARIANTS
+    @given(pure_states(min_qubits=1), st.sampled_from(["z", "x", "b"]), st.data())
+    def test_measure_bitwise_on_drawn_states(self, psi, basis, data):
+        rho = psi.density()
+        qubit = data.draw(st.integers(0, psi.n_qubits - 1))
+        alpha = data.draw(st.floats(-4, 4)) if basis == "b" else None
+        assert_measure_bitwise(rho, qubit, basis, alpha, data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_measure_bitwise_on_non_c_ordered_states(self, n):
+        # a transposed matrix stays F-ordered through DensityMatrix, and a
+        # two-qubit gate on two qubits returns a non-C view; blocks sliced
+        # from either keep that layout
+        rng = np.random.default_rng(80 + n)
+        rho = mixed_state(rng, n)
+        states = [DensityMatrix(n, rho.matrix.T)]
+        if n == 2:
+            states.append(apply_gate(rho, "CNOT", [0, 1]))
+        for state in states:
+            assert not state.matrix.flags.c_contiguous
+            for qubit, basis in product(range(n), ("z", "x", "b")):
+                alpha = rng.uniform(-4, 4) if basis == "b" else None
+                assert_measure_bitwise(state, qubit, basis, alpha, int(rng.integers(2 ** 32)))
 
     def test_exact_hermiticity_survives_a_measurement_chain(self):
         # measure has no output scrub: each kept block is a sum of conjugate
@@ -521,6 +604,17 @@ class TestForcedBranches:
     def test_forced_zero_probability_propagates_with_context(self):
         with pytest.raises(ZeroProbabilityBranch, match="pair A, branch 01: forced outcome 1"):
             self.branches(forced=[0, 1], where="pair A")
+
+    def test_zero_probability_names_the_requested_bit_after_a_relabel(self):
+        # the X outcome 1 of qubit 0 relabels the Z measurement of qubit 1,
+        # so requesting 0 there measures outcome 1 of |0>
+        pattern = MeasurementPattern(
+            steps=(PatternStep(0, "x"), PatternStep(1, "z", x_from=(0,))), output=2)
+        zero = StateVector.basis_state(3, 0).density()
+        with pytest.raises(ZeroProbabilityBranch) as info:
+            pattern_branches(zero, pattern, (0, 1, 2), forced=(1, 0))
+        assert str(info.value) == ("pattern, branch 10: forced outcome 0 on qubit 1 has zero "
+                                   "probability (measured as 1 after feedforward)")
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

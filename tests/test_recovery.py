@@ -5,12 +5,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from losskit.codes import CodeParams, LogicalInput, PRESETS, encode
 from losskit import cluster
 from losskit.cluster import pattern_branches
 from losskit.qsim import (DensityMatrix, NoiseSpec, Seed, StateVector, ZeroProbabilityBranch,
-                          apply_channel, apply_gate, fidelity_pure)
+                          apply_channel, apply_gate, fidelity_pure, post_loss_state)
 from losskit.recovery import (
     LossPattern,
     best_effort_plan,
@@ -308,3 +309,40 @@ class TestRecoverySweep:
         monkeypatch.setattr(cluster, "run_pattern", never)
         with pytest.raises(ValueError, match="input PLUS, lost qubit 2: branch probabilities"):
             recovery_sweep([PRESETS["PLUS"]], P22, losses=[2])
+
+
+@st.composite
+def recoverable_losses(draw):
+    """A code of at most 10 qubits and a recoverable loss of one or more of its qubits."""
+    n = draw(st.integers(2, 5))
+    params = CodeParams(n, draw(st.integers(2, 10 // n)))
+    intact = draw(st.integers(0, params.m - 1))
+    damaged = draw(st.sampled_from([b for b in range(params.m) if b != intact]))
+    lost = set()
+    for b in range(params.m):
+        if b != intact:
+            count = draw(st.integers(1 if b == damaged else 0, n - 1))
+            lost.update(draw(st.permutations(params.block_qubits(b)))[:count])
+    return params, LossPattern(lost)
+
+
+class TestRecoveryInvariants:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(recoverable_losses(), st.integers(0, 2 ** 32 - 1), st.floats(0.5, 0.99))
+    def test_branches_are_complete_and_recover(self, case, seed, v):
+        params, loss = case
+        inp = random_input(np.random.default_rng(seed))
+        psi, target = encode(inp, params), inp.statevector()
+        plan = plan_recovery(params, loss)
+        survivors = [q for q in range(params.total) if q not in loss.lost]
+
+        branches = pattern_branches(post_loss_state(psi, loss.lost), plan, survivors,
+                                    target=target)
+        assert abs(sum(r.probability for _, r in branches) - 1) <= 1e-9
+        assert all(abs(r.fidelity - 1) <= 1e-9 for _, r in branches)
+
+        noisy = post_loss_state(psi, loss.lost, NoiseSpec(white_noise_v=v))
+        branches = pattern_branches(noisy, plan, survivors, target=target)
+        assert abs(sum(r.probability for _, r in branches) - 1) <= 1e-9
+        for _, r in branches:
+            assert 0 <= r.probability <= 1 and 0 <= r.fidelity <= 1
