@@ -15,7 +15,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 from io import StringIO
 from pathlib import Path
@@ -24,12 +24,11 @@ from typing import Sequence
 import click
 import numpy as np
 
-from .codes import MAX_TOTAL_QUBITS, CodeParams, PRESETS, encode
-from .cluster import LOSS_CASES, loss_case_pattern, phi5, rotation_sweep
-from .qsim import NoiseSpec, Seed, apply_channel
-from .recovery import recovery_sweep, shot_sigma
-from .tomography import (MAX_DECOMP_QUBITS, decompose_projector, estimate_fidelity,
-                         group_settings, simulate_counts)
+from .codes import MAX_TOTAL_QUBITS, CodeParams, PRESETS, encode, lab_pairs
+from .cluster import LOSS_CASES, PHI5_PAIRS, loss_case_pattern, phi5, rotation_sweep
+from .qsim import NoiseSpec, apply_channel
+from .recovery import loss_average, recovery_sweep, shot_sigma
+from .tomography import MAX_DECOMP_QUBITS, MAX_SHOTS, sampled_fidelity
 
 
 class ConfigError(click.UsageError):
@@ -168,8 +167,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
                        ("noise_visibility", cfg.noise_visibility)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(key, f"must lie in [0, 1], got {value}")
-    if cfg.shots < 1:
-        raise ConfigError("shots", "must be >= 1")
+    if not 1 <= cfg.shots <= MAX_SHOTS:
+        raise ConfigError("shots", f"must lie in [1, {MAX_SHOTS}], got {cfg.shots}")
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError("seed", "must be a 64-bit unsigned integer")
     if cfg.format not in ("csv", "json"):
@@ -247,25 +246,12 @@ def _noise(cfg: ExperimentConfig) -> NoiseSpec:
                      epr_visibility=cfg.noise_visibility)
 
 
-def _noise_pairs(cfg: ExperimentConfig, input_name: str,
-                 params: CodeParams | None) -> tuple[tuple[int, int], ...]:
-    """Interfering-pair placement for the noise channel.
-
-    ``auto`` mirrors the lab layout: for the (2, 2) code the V input
-    interferes on two beam-splitter pairs and the other inputs on three;
-    for the cluster experiments the imperfect pair source sits on photons
-    1 and 2.  Explicit placements are taken verbatim.
-    """
-    if cfg.dephase_pairs == "":
-        return ()
-    if cfg.dephase_pairs != "auto":
-        return _parse_pairs(cfg.dephase_pairs, "dephase_pairs")
-    if params is None:
-        return ((0, 1),)
-    chain = tuple((q, q + 1) for q in range(params.total - 1))
-    if (params.n, params.m) == (2, 2) and input_name == "V":
-        return chain[1:]
-    return chain
+def _noise_pairs(cfg: ExperimentConfig,
+                 auto: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The library's lab placement ``auto`` for ``dephase_pairs = auto``, else the given pairs."""
+    if cfg.dephase_pairs == "auto":
+        return auto
+    return _parse_pairs(cfg.dephase_pairs, "dephase_pairs")
 
 
 @dataclass(frozen=True)
@@ -315,72 +301,57 @@ def render_output(cfg: ExperimentConfig, rows: Sequence[ResultRow]) -> str:
     return buf.getvalue()
 
 
-def _tomography_row(cfg: ExperimentConfig, name: str, psi, rho,
-                    stream_key: int) -> ResultRow:
-    decomp = decompose_projector(psi)
-    settings = group_settings(decomp)
-    master = Seed(cfg.seed)
-    tables = [
-        simulate_counts(rho, setting, cfg.shots, master.stream(stream_key, i))
-        for i, setting in enumerate(settings)
-    ]
-    fid, sigma = estimate_fidelity(tables, decomp)
-    return ResultRow(experiment=cfg.experiment, input=name, fidelity=fid,
-                     sigma=sigma, settings=len(settings), shots=cfg.shots,
-                     seed=cfg.seed)
+def _row(cfg: ExperimentConfig, **cells) -> ResultRow:
+    return ResultRow(experiment=cfg.experiment, shots=cfg.shots, seed=cfg.seed, **cells)
+
+
+def _tomography_row(cfg: ExperimentConfig, name: str, psi, auto, key: int,
+                    **cells) -> ResultRow:
+    rho = apply_channel(psi.density(), _noise(cfg), interfering_pairs=_noise_pairs(cfg, auto))
+    fidelity, sigma, settings = sampled_fidelity(psi, rho, cfg.shots, cfg.seed, key)
+    return _row(cfg, input=name, fidelity=fidelity, sigma=sigma, settings=settings, **cells)
+
+
+def _branch_rows(cfg: ExperimentConfig, sweep, **cells) -> list[ResultRow]:
+    return [_row(cfg, input=r.input, lost=r.lost, branch=r.branch, alpha=r.alpha,
+                 fidelity=r.fidelity, sigma=shot_sigma(r.fidelity, cfg.shots), **cells)
+            for r in sweep]
 
 
 def run_encode(cfg: ExperimentConfig) -> list[ResultRow]:
     """Codeword preparation fidelity via simulated tomography."""
     params = CodeParams(cfg.code_n, cfg.code_m)
-    rows = []
-    for i, name in enumerate(cfg.inputs):
-        psi = encode(PRESETS[name], params)
-        rho = apply_channel(psi.density(), _noise(cfg),
-                            interfering_pairs=_noise_pairs(cfg, name, params))
-        row = _tomography_row(cfg, name, psi, rho, i)
-        rows.append(replace(row, code_n=cfg.code_n, code_m=cfg.code_m))
-    return rows
+    return [_tomography_row(cfg, name, encode(PRESETS[name], params), lab_pairs(params, name),
+                            i, code_n=cfg.code_n, code_m=cfg.code_m)
+            for i, name in enumerate(cfg.inputs)]
 
 
 def run_cluster_fidelity(cfg: ExperimentConfig) -> list[ResultRow]:
     """Five-photon cluster-state fidelity estimate."""
-    psi = phi5()
-    rho = apply_channel(psi.density(), _noise(cfg),
-                        interfering_pairs=_noise_pairs(cfg, "phi5", None))
-    return [_tomography_row(cfg, "phi5", psi, rho, 0)]
+    return [_tomography_row(cfg, "phi5", phi5(), PHI5_PAIRS, 0)]
 
 
 def run_recover(cfg: ExperimentConfig) -> list[ResultRow]:
     """Loss-and-recovery sweep over inputs, losses and branches."""
     params = CodeParams(cfg.code_n, cfg.code_m)
-    losses = _recover_losses(cfg)
-    forced = _branch_bits(cfg.force_branch) if cfg.force_branch else None
+    losses, forced = _recover_losses(cfg), _branch_bits(cfg.force_branch)
+    code = dict(code_n=cfg.code_n, code_m=cfg.code_m)
     rows = []
     for name in cfg.inputs:
-        sweep = recovery_sweep([PRESETS[name]], params, _noise(cfg), cfg.shots, losses=losses,
-                               pairs=_noise_pairs(cfg, name, params), forced=forced)
-        common = dict(experiment="recover", input=name, code_n=cfg.code_n,
-                      code_m=cfg.code_m, shots=cfg.shots, seed=cfg.seed)
-        rows.extend(ResultRow(lost=str(r.lost), branch=r.branch, fidelity=r.fidelity,
-                              sigma=r.sigma, **common) for r in sweep)
+        sweep = recovery_sweep([PRESETS[name]], params, _noise(cfg), losses=losses,
+                               pairs=_noise_pairs(cfg, lab_pairs(params, name)), forced=forced)
+        rows.extend(_branch_rows(cfg, sweep, **code))
         if forced is None:
-            cells = [[r for r in sweep if r.lost == q] for q in losses]
-            mean = sum(sum(r.probability * r.fidelity for r in c) for c in cells) / len(cells)
-            var = sum(sum((r.probability * r.sigma) ** 2 for r in c) for c in cells)
-            rows.append(ResultRow(branch="avg", fidelity=mean,
-                                  sigma=math.sqrt(var) / len(cells), **common))
+            mean, sigma = loss_average(sweep, cfg.shots)
+            rows.append(_row(cfg, input=name, branch="avg", fidelity=mean, sigma=sigma, **code))
     return rows
 
 
 def run_oneway(cfg: ExperimentConfig) -> list[ResultRow]:
     """One-way rotation under photon loss, all forced branches."""
-    forced = _branch_bits(cfg.force_branch) if cfg.force_branch else None
-    sweep = rotation_sweep(_oneway_cases(cfg), cfg.alphas, _noise(cfg),
-                           pairs=_noise_pairs(cfg, "phi5", None), forced=forced)
-    return [ResultRow(experiment="oneway", input="phi5", lost=r.case, branch=r.branch,
-                      alpha=r.alpha, fidelity=r.fidelity, sigma=shot_sigma(r.fidelity, cfg.shots),
-                      shots=cfg.shots, seed=cfg.seed) for r in sweep]
+    return _branch_rows(cfg, rotation_sweep(_oneway_cases(cfg), cfg.alphas, _noise(cfg),
+                                            pairs=_noise_pairs(cfg, PHI5_PAIRS),
+                                            forced=_branch_bits(cfg.force_branch)))
 
 
 RUNNERS = {
@@ -406,7 +377,10 @@ def _execute(experiment: str, config_path: str, **overrides) -> None:
         raise NumericalFailure(str(exc)) from exc
     text = render_output(cfg, rows)
     if cfg.out:
-        Path(cfg.out).write_bytes(text.encode())
+        try:
+            Path(cfg.out).write_bytes(text.encode())
+        except OSError as exc:
+            raise ConfigError("out", f"cannot write {cfg.out}: {exc.strerror}") from None
     else:
         click.echo(text, nl=False)
 

@@ -19,7 +19,8 @@ rotation protocol measures in lab bases throughout and targets
 
     target(alpha) = (|0> + e^{-i alpha}|1>)/sqrt2,
 
-so alpha in {0, -pi/2, -pi/3} produces |+>, |R>, |S>.
+so alpha in {0, -pi/2, -pi/3} produces |+>, |R>, |S>.  ``rotation_sweep`` and
+``recovery.recovery_sweep`` both return a ``BranchRow`` per nonzero branch.
 """
 
 from __future__ import annotations
@@ -416,11 +417,24 @@ def pattern_branches(state: DensityMatrix, pattern: MeasurementPattern,
     return branches
 
 
+@dataclass(frozen=True)
+class BranchRow:
+    """One (input, loss, alpha, branch) cell of a sweep; ``alpha`` is ``None`` for recovery."""
+
+    input: str
+    lost: str
+    alpha: float | None
+    branch: str
+    probability: float
+    fidelity: float
+
+
 # --------------------------------------------------------------------------
 # the five-photon resource state and the Fig-style loss cases
 
 PHI5_CHAIN = (3, 2, 1, 4, 5)   # photon order along the underlying linear cluster
 PHI5_BASIS_KETS = ("00000", "01111", "10011", "11100")
+PHI5_PAIRS = ((0, 1),)   # the lab's imperfect pair source, on photons 1 and 2
 
 
 def phi5() -> StateVector:
@@ -496,30 +510,19 @@ def loss_tolerant_rotation(lost: str, alpha: float, noise: NoiseSpec | None = No
                        target=rotation_target(alpha))
 
 
-@dataclass(frozen=True)
-class RotationRow:
-    """One (loss case, alpha, branch) cell of a rotation sweep."""
-
-    case: str
-    alpha: float
-    branch: str
-    probability: float
-    fidelity: float
-
-
 def rotation_sweep(cases: Sequence[str], alphas: Sequence[float],
                    noise: NoiseSpec | None = None, *,
                    pairs: Sequence[tuple[int, int]] = (),
-                   forced: Sequence[int] | None = None) -> list[RotationRow]:
+                   forced: Sequence[int] | None = None) -> list[BranchRow]:
     """Exhaustive branch table over (loss case, alpha, outcome branch).
 
-    Each row carries the exact branch probability and the fidelity against
-    ``rotation_target(alpha)``; ``pairs`` places the interfering pairs of
-    the ``noise`` channel.  Zero-probability branches are omitted, and the
-    kept probabilities of each (case, alpha) must sum to 1.  ``forced`` runs
-    that one branch per (case, alpha) instead, and raises if it has zero
-    probability.  Rows are ordered by case and alpha (as given), then
-    branch bits lexicographically.
+    Each ``BranchRow`` (input ``phi5``, ``lost`` the case) carries the exact
+    branch probability and the fidelity against ``rotation_target(alpha)``;
+    ``pairs`` places the interfering pairs of the ``noise`` channel.
+    Zero-probability branches are omitted, and the kept probabilities of
+    each (case, alpha) must sum to 1.  ``forced`` runs that one branch per
+    (case, alpha) instead, and raises if it has zero probability.  Rows are
+    ordered by case and alpha (as given), then branch bits lexicographically.
     """
     rows = []
     for case in cases:
@@ -527,6 +530,6 @@ def rotation_sweep(cases: Sequence[str], alphas: Sequence[float],
             rho, pattern, labels = _rotation_setup(case, alpha, noise, pairs)
             branches = pattern_branches(rho, pattern, labels, target=rotation_target(alpha),
                                         forced=forced, where=f"loss case {case}, alpha {alpha:.9f}")
-            rows.extend(RotationRow(case, alpha, "".join(map(str, bits)), res.probability,
-                                    res.fidelity) for bits, res in branches)
+            rows.extend(BranchRow("phi5", case, alpha, "".join(map(str, bits)), res.probability,
+                                  res.fidelity) for bits, res in branches)
     return rows

@@ -128,6 +128,15 @@ def encode_circuit_22(inp: LogicalInput) -> StateVector:
     return state
 
 
+def lab_pairs(params: CodeParams, name: str) -> tuple[tuple[int, int], ...]:
+    """The lab's interfering pairs for input ``name``: neighbours along the qubit chain.
+
+    At (2, 2) the V input skips the first pair, so it meets two beam splitters, not three.
+    """
+    chain = tuple((q, q + 1) for q in range(params.total - 1))
+    return chain[1:] if (params.n, params.m) == (2, 2) and name == "V" else chain
+
+
 def stabilizers(params: CodeParams) -> list[PauliString]:
     """Generators fixing both logical basis states.
 

@@ -22,6 +22,9 @@ pattern's output frame on the target:
 - the frame applies Z, then X, then the fixed output gate H, which
   reproduces the (2, 2) single-loss feedforward table
   {(0,0): H, (1,0): HX, (0,1): HZ, (1,1): HXZ} keyed on (z-parity, x-parity).
+
+``recovery_sweep`` returns a ``cluster.BranchRow`` per nonzero branch, and
+``loss_average`` reduces one input's rows to the CLI's ``avg`` row.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cluster import MeasurementPattern, OneWayResult, PatternStep, pattern_branches, run_pattern
+from .cluster import (BranchRow, MeasurementPattern, OneWayResult, PatternStep, pattern_branches,
+                      run_pattern)
 from .codes import CodeParams, LogicalInput, encode
 from .qsim import DensityMatrix, NoiseSpec, partial_trace, post_loss_state
 
@@ -64,16 +68,8 @@ def erase(rho: DensityMatrix, pattern: LossPattern) -> DensityMatrix:
 def recoverable(params: CodeParams, pattern: LossPattern) -> bool:
     """True iff every block keeps a survivor and at least one block is intact."""
     pattern.validate(params)
-    losses_per_block = [0] * params.m
-    for q in pattern.lost:
-        losses_per_block[params.block_of(q)] += 1
-    if any(lost == params.n for lost in losses_per_block):
-        return False
-    return any(lost == 0 for lost in losses_per_block)
-
-
-def _default_target(params: CodeParams, intact_blocks: Sequence[int]) -> int:
-    return params.block_qubits(min(intact_blocks))[-1]
+    lost = [len(pattern.lost.intersection(params.block_qubits(b))) for b in range(params.m)]
+    return params.n not in lost and 0 in lost
 
 
 def _survivors(plan: MeasurementPattern) -> tuple[int, ...]:
@@ -81,12 +77,14 @@ def _survivors(plan: MeasurementPattern) -> tuple[int, ...]:
     return tuple(sorted([step.qubit for step in plan.steps] + [plan.output]))
 
 
-def _build_plan(params: CodeParams, loss: LossPattern, target: int | None,
-                intact_blocks: Sequence[int]) -> MeasurementPattern:
+def _build_plan(params: CodeParams, loss: LossPattern, target: int | None) -> MeasurementPattern:
+    intact = [b for b in range(params.m) if not loss.lost.intersection(params.block_qubits(b))]
+    if not intact:
+        raise ValueError("no intact block to host the output qubit")
     if target is None:
-        target = _default_target(params, intact_blocks)
+        target = params.block_qubits(min(intact))[-1]
     target_block = params.block_of(target)
-    if target_block not in intact_blocks:
+    if target_block not in intact:
         raise ValueError(f"target qubit {target} lies in a damaged block")
     z_blocks = []
     for b in range(params.m):
@@ -116,9 +114,7 @@ def plan_recovery(params: CodeParams, pattern: LossPattern,
     """
     if not recoverable(params, pattern):
         raise ValueError(f"loss pattern {sorted(pattern.lost)} is not recoverable")
-    intact = [b for b in range(params.m)
-              if not any(q in pattern.lost for q in params.block_qubits(b))]
-    return _build_plan(params, pattern, target, intact)
+    return _build_plan(params, pattern, target)
 
 
 def best_effort_plan(params: CodeParams, pattern: LossPattern,
@@ -129,11 +125,7 @@ def best_effort_plan(params: CodeParams, pattern: LossPattern,
     assumed 0, so the output is generally mixed.
     """
     pattern.validate(params)
-    intact = [b for b in range(params.m)
-              if not any(q in pattern.lost for q in params.block_qubits(b))]
-    if not intact:
-        raise ValueError("no intact block to host the output qubit")
-    return _build_plan(params, pattern, target, intact)
+    return _build_plan(params, pattern, target)
 
 
 def execute_recovery(rho: DensityMatrix, plan: MeasurementPattern, *,
@@ -152,18 +144,6 @@ def execute_recovery(rho: DensityMatrix, plan: MeasurementPattern, *,
     return run_pattern(rho, plan, _survivors(plan), forced=forced, rng=rng, target=target)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (input, loss, branch) cell of a recovery sweep."""
-
-    input_name: str
-    lost: int
-    branch: str
-    probability: float
-    fidelity: float
-    sigma: float
-
-
 def shot_sigma(fidelity: float, shots: int) -> float:
     """Shot noise of estimating F from ``shots`` two-outcome target projections."""
     f = min(max(fidelity, 0.0), 1.0)
@@ -173,27 +153,24 @@ def shot_sigma(fidelity: float, shots: int) -> float:
 
 
 def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
-                   noise: NoiseSpec | None = None, shots: int = 10000, *,
+                   noise: NoiseSpec | None = None, *,
                    losses: Sequence[int] | None = None,
                    pairs: Sequence[tuple[int, int]] = (),
                    forced: Sequence[int] | None = None,
-                   ) -> list[SweepRow]:
+                   ) -> list[BranchRow]:
     """Exhaustive branch table over (input, single lost qubit, outcome branch).
 
-    Every branch is executed with forced outcomes, so each row carries the
-    exact branch probability and output fidelity; ``sigma`` is the shot
-    noise a ``shots``-sample estimate of that fidelity would carry.
-    ``pairs`` places the interfering pairs of the ``noise`` channel.
-    Zero-probability branches are omitted, and the kept probabilities of
-    each (input, loss) must sum to 1.  ``forced`` runs that one branch per
-    (input, loss) instead, and raises if it has zero probability.  Rows are
-    ordered by input (as given), loss (as given, default ascending), then
-    branch bits lexicographically.
+    Every branch is executed with forced outcomes, so each ``BranchRow``
+    (``lost`` the qubit index as text) carries the exact branch probability
+    and output fidelity.  ``pairs`` places the interfering pairs of the
+    ``noise`` channel.  Zero-probability branches are omitted, and the kept
+    probabilities of each (input, loss) must sum to 1.  ``forced`` runs
+    that one branch per (input, loss) instead, and raises if it has zero
+    probability.  Rows are ordered by input (as given), loss (as given,
+    default ascending), then branch bits lexicographically.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     loss_positions = list(losses) if losses is not None else list(range(params.total))
-    rows: list[SweepRow] = []
+    rows: list[BranchRow] = []
     for inp in inputs:
         name = inp.name or "custom"
         psi, target = encode(inp, params), inp.statevector()
@@ -203,12 +180,23 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
             reduced = post_loss_state(psi, loss.lost, noise, pairs)
             branches = pattern_branches(reduced, plan, _survivors(plan), target=target,
                                         forced=forced, where=f"input {name}, lost qubit {lost_q}")
-            rows.extend(SweepRow(
-                input_name=name,
-                lost=lost_q,
-                branch="".join(str(b) for b in bits),
-                probability=res.probability,
-                fidelity=res.fidelity,
-                sigma=shot_sigma(res.fidelity, shots),
-            ) for bits, res in branches)
+            rows.extend(BranchRow(name, str(lost_q), None, "".join(map(str, bits)),
+                                  res.probability, res.fidelity) for bits, res in branches)
     return rows
+
+
+def loss_average(rows: Sequence[BranchRow], shots: int) -> tuple[float, float]:
+    """Mean over losses of one input's probability-weighted branch fidelity, and its sigma.
+
+    The sigma propagates every branch's ``shot_sigma(fidelity, shots)``.
+    Losses are summed in the order their rows first appear.
+    """
+    if not rows or len({r.input for r in rows}) > 1:
+        raise ValueError("loss_average needs the rows of exactly one input")
+    cells: dict[str, list[BranchRow]] = {}
+    for r in rows:
+        cells.setdefault(r.lost, []).append(r)
+    mean = sum(sum(r.probability * r.fidelity for r in c) for c in cells.values()) / len(cells)
+    var = sum(sum((r.probability * shot_sigma(r.fidelity, shots)) ** 2 for r in c)
+              for c in cells.values())
+    return mean, math.sqrt(var) / len(cells)

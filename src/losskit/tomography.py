@@ -33,6 +33,9 @@ Error bars propagate per-outcome Poisson variances (var(count) = count)
 through the linear estimator; multinomial covariance corrections are
 deliberately not applied.
 
+``sampled_fidelity`` runs decompose, group, sample and estimate in one call,
+as the ``encode`` and ``cluster-fidelity`` subcommands do.
+
 Each step does only the work the estimate reads:
 
 - ``decompose_projector`` makes one ``expectation`` call per Pauli string,
@@ -73,6 +76,7 @@ from .qsim import (
 )
 
 MAX_DECOMP_QUBITS = 6
+MAX_SHOTS = 2 ** 53   # float64 holds every count up to here, so the sum check is exact
 
 _SQ2 = math.sqrt(2.0)
 
@@ -416,8 +420,8 @@ def setting_probabilities(rho: DensityMatrix, setting: Setting) -> np.ndarray:
 def simulate_counts(rho: DensityMatrix, setting: Setting, shots: int,
                     seed: Union[Seed, np.random.Generator, int]) -> CountsTable:
     """Multinomially sampled coincidence histogram for one setting."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}]")
     if isinstance(seed, Seed):
         rng = seed.stream(0)
     elif isinstance(seed, (int, np.integer)):
@@ -505,6 +509,22 @@ def estimate_fidelity(tables: Sequence[CountsTable],
         fidelity += float(w @ table.counts)
         variance += float((w ** 2) @ table.counts)
     return fidelity, math.sqrt(variance)
+
+
+def sampled_fidelity(psi: StateVector, rho: DensityMatrix, shots: int, seed: int,
+                     key: int = 0) -> tuple[float, float, int]:
+    """(fidelity, sigma, settings) of a simulated tomography of ``rho`` against ``psi``.
+
+    Setting i of ``group_settings`` samples ``shots`` counts from
+    ``Seed(seed).stream(key, i)``.
+    """
+    decomp = decompose_projector(psi)
+    settings = group_settings(decomp)
+    master = Seed(seed)
+    tables = [simulate_counts(rho, setting, shots, master.stream(key, i))
+              for i, setting in enumerate(settings)]
+    fidelity, sigma = estimate_fidelity(tables, decomp)
+    return fidelity, sigma, len(settings)
 
 
 def write_counts_csv(tables: Sequence[CountsTable], path: str) -> None:

@@ -5,11 +5,13 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from losskit import cluster
 from losskit.cli import (
@@ -21,6 +23,11 @@ from losskit.cli import (
     parse_config,
     validate_config,
 )
+from losskit.cluster import PHI5_PAIRS, phi5, rotation_sweep
+from losskit.codes import PRESETS, CodeParams, encode, lab_pairs
+from losskit.qsim import NoiseSpec, apply_channel
+from losskit.recovery import loss_average, recovery_sweep, shot_sigma
+from losskit.tomography import MAX_SHOTS, sampled_fidelity
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -113,12 +120,133 @@ class TestConfigParsing:
             validate_config(parsed)
 
 
+    @pytest.mark.parametrize("shots, code", [(MAX_SHOTS, 0), (MAX_SHOTS + 1, 2)])
+    def test_shots_cap_is_the_exact_float64_count(self, tmp_path, shots, code):
+        # 2^53 is the largest count float64 holds exactly, so the counts still sum to shots
+        assert MAX_SHOTS == 2 ** 53
+        cfg = write_cfg(tmp_path, "s.cfg", f"inputs = V\nshots = {shots}\n")
+        for command in ("encode", "cluster-fidelity"):
+            result = run_cli([command, "--config", cfg])
+            assert result.exit_code == code, result.output
+            if code:
+                assert "config field 'shots'" in result.output
+                assert isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize("angle", ["pi/0", "inf", "nan", "1e400"])
     def test_bad_angle_exits_2(self, tmp_path, angle):
         cfg = write_cfg(tmp_path, "bad.cfg", f"alphas = 0, {angle}\n")
         result = run_cli(["oneway", "--config", cfg])
         assert result.exit_code == 2, result.output
         assert "config field 'alphas'" in result.output
+
+
+ALL = tuple(RUNNERS)
+_INVALID_FLOATS = st.one_of(
+    st.floats(allow_nan=False).filter(lambda x: not 0.0 <= x <= 1.0).map(repr),
+    st.sampled_from(["high", "nan", "inf", "1e400", "0.5.1", ""]))
+# key -> (subcommands that read it, values every one of them must reject)
+BAD_VALUES = {
+    "code_n": (ALL, st.one_of(st.integers(max_value=1).map(str),
+                              st.sampled_from(["2.5", "two", ""]))),
+    "code_m": (ALL, st.one_of(st.integers(max_value=0).map(str), st.sampled_from(["1.0", "x"]))),
+    "noise_v": (ALL, _INVALID_FLOATS),
+    "noise_d": (ALL, _INVALID_FLOATS),
+    "noise_visibility": (ALL, _INVALID_FLOATS),
+    "shots": (ALL, st.one_of(st.integers(max_value=0), st.integers(MAX_SHOTS + 1, 2 ** 80),
+                             st.sampled_from(["1e3", "ten", "1.0"])).map(str)),
+    "seed": (ALL, st.one_of(st.integers(max_value=-1), st.integers(min_value=2 ** 64),
+                            st.sampled_from(["x", "1.5"])).map(str)),
+    "format": (ALL, st.text("acjnosvxCSV ,.", max_size=6).filter(
+        lambda t: t.strip() not in ("csv", "json"))),
+    "inputs": (ALL, st.sampled_from(["NOPE", "V,X", "v", "PLUS,R,phi5"])),
+    "dephase_pairs": (ALL, st.sampled_from(["0:9", "0:0", "a:b", "1-2", "0:1:2", "-1:2"])),
+    "alphas": (ALL, st.sampled_from(["pi/0", "inf", "nan", "1e400", "abc", "1/pi", "0,2pi3"])),
+    "lost": (("recover", "oneway"),
+             st.sampled_from(["9", "-1", "1,1", "photon3", ",", "photon2,photon2"])),
+    "force_branch": (("recover", "oneway"), st.sampled_from(["2", "ab", "0101", "0", "0 1 2"])),
+    "out": (ALL, st.sampled_from(["", "missing/x.csv"])),   # the directory, a missing one
+}
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bad_value_exits_2_naming_the_field(self, key, data):
+        commands, values = BAD_VALUES[key]
+        command, value = data.draw(st.sampled_from(commands)), data.draw(values)
+        with tempfile.TemporaryDirectory() as work:
+            if key == "out":
+                value = str(Path(work, value))
+            cfg = Path(work, "bad.cfg")
+            cfg.write_text(f"inputs = V\nshots = 10\n{key} = {value}\n")
+            result = run_cli([command, "--config", str(cfg)])
+        assert result.exit_code == 2, (command, value, result.output)
+        assert f"config field '{key}'" in result.output
+        assert isinstance(result.exception, SystemExit)   # a usage error, not a traceback
+
+    @pytest.mark.parametrize("target", ["", "missing/x.csv"])
+    def test_unwritable_out_exits_2(self, tmp_path, target):
+        cfg = write_cfg(tmp_path, "r.cfg", "inputs = V\nshots = 10\n")
+        out = tmp_path / target   # the directory itself, or a file in a missing one
+        result = run_cli(["recover", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config field 'out'" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestLibraryCalls:
+    """Each row value the CLI prints is one library call's result."""
+
+    NOISE = NoiseSpec(white_noise_v=0.9, pair_dephasing_d=0.05, epr_visibility=0.95)
+    CONFIG = ("inputs = V,PLUS,R\nnoise_v = 0.9\nnoise_d = 0.05\nnoise_visibility = 0.95\n"
+              "dephase_pairs = auto\nshots = 1000\nseed = 5\nalphas = 0.3, -pi/3\n")
+
+    def rows(self, tmp_path, experiment):
+        cfg = replace(parse_config(write_cfg(tmp_path, "c.cfg", self.CONFIG)),
+                      experiment=experiment)
+        validate_config(cfg)
+        return RUNNERS[experiment](cfg)
+
+    def test_encode(self, tmp_path):
+        params = CodeParams(2, 2)
+        rows = self.rows(tmp_path, "encode")
+        for key, (name, row) in enumerate(zip(("V", "PLUS", "R"), rows)):
+            psi = encode(PRESETS[name], params)
+            rho = apply_channel(psi.density(), self.NOISE,
+                                interfering_pairs=lab_pairs(params, name))
+            assert (row.fidelity, row.sigma, row.settings) == sampled_fidelity(
+                psi, rho, 1000, 5, key)
+        assert len(rows) == 3
+
+    def test_cluster_fidelity(self, tmp_path):
+        (row,) = self.rows(tmp_path, "cluster-fidelity")
+        rho = apply_channel(phi5().density(), self.NOISE, interfering_pairs=PHI5_PAIRS)
+        assert (row.fidelity, row.sigma, row.settings) == sampled_fidelity(phi5(), rho, 1000, 5)
+
+    def test_recover_branches_and_avg(self, tmp_path):
+        params = CodeParams(2, 2)
+        rows = iter(self.rows(tmp_path, "recover"))
+        for name in ("V", "PLUS", "R"):
+            sweep = recovery_sweep([PRESETS[name]], params, self.NOISE,
+                                   pairs=lab_pairs(params, name))
+            for want in sweep:
+                got = next(rows)
+                assert (got.input, got.lost, got.branch, got.alpha, got.fidelity, got.sigma) == (
+                    want.input, want.lost, want.branch, None, want.fidelity,
+                    shot_sigma(want.fidelity, 1000))
+            avg = next(rows)
+            assert (avg.input, avg.branch) == (name, "avg")
+            assert (avg.fidelity, avg.sigma) == loss_average(sweep, 1000)
+        assert next(rows, None) is None
+
+    def test_oneway(self, tmp_path):
+        rows = self.rows(tmp_path, "oneway")
+        sweep = rotation_sweep(("photon2", "photon4"), (0.3, -math.pi / 3), self.NOISE,
+                               pairs=PHI5_PAIRS)
+        assert [(r.input, r.lost, r.branch, r.alpha, r.fidelity, r.sigma) for r in rows] == [
+            (w.input, w.lost, w.branch, w.alpha, w.fidelity, shot_sigma(w.fidelity, 1000))
+            for w in sweep]
 
 
 class TestEncodeCommand:

@@ -491,11 +491,11 @@ class TestLossTolerantRotation:
     def test_sweep_rows_match_single_runs(self):
         noise = NoiseSpec(white_noise_v=0.7, pair_dephasing_d=0.1)
         rows = rotation_sweep(["photon4", "photon2"], [0.3, -1.1], noise, pairs=((0, 1),))
-        assert [(r.case, r.alpha) for r in rows[::8]] == [
+        assert [(r.lost, r.alpha) for r in rows[::8]] == [
             ("photon4", 0.3), ("photon4", -1.1), ("photon2", 0.3), ("photon2", -1.1)]
         for row in rows:
             bits = tuple(int(b) for b in row.branch)
-            single = loss_tolerant_rotation(row.case, row.alpha, noise,
+            single = loss_tolerant_rotation(row.lost, row.alpha, noise,
                                             interfering_pairs=((0, 1),), forced=bits)
             assert (row.probability, row.fidelity) == (single.probability, single.fidelity)
         forced = rotation_sweep(["photon2"], [0.3], noise, pairs=((0, 1),), forced=(1, 0, 1))
