@@ -24,6 +24,7 @@ from typing import Sequence
 import click
 import numpy as np
 
+from . import __version__
 from .codes import MAX_TOTAL_QUBITS, CodeParams, PRESETS, encode, lab_pairs
 from .cluster import LOSS_CASES, PHI5_PAIRS, loss_case_pattern, phi5, rotation_sweep
 from .qsim import NoiseSpec, apply_channel
@@ -173,6 +174,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed", "must be a 64-bit unsigned integer")
     if cfg.format not in ("csv", "json"):
         raise ConfigError("format", f"must be csv or json, got {cfg.format!r}")
+    out = Path(cfg.out)
+    if cfg.out and out.is_dir():
+        raise ConfigError("out", f"cannot write {cfg.out}: it is a directory")
+    if cfg.out and not out.parent.is_dir():
+        raise ConfigError("out", f"cannot write {cfg.out}: no directory {out.parent}")
     total = cfg.code_n * cfg.code_m
     if cfg.experiment == "encode" and total > MAX_DECOMP_QUBITS:
         raise ConfigError("code_n", f"encode tomography supports at most {MAX_DECOMP_QUBITS} "
@@ -402,7 +408,7 @@ def _common_options(fn):
 
 
 @click.group()
-@click.version_option(package_name="losskit")
+@click.version_option(version=__version__)
 def main() -> None:
     """Loss-tolerant code experiments with seeded, reproducible output."""
 

@@ -50,8 +50,12 @@ Each step does only the work the estimate reads:
   the probabilities, and the multinomial draws, are bitwise the same.
   ``basis_matrix`` results are cached, read-only.
 - The coherence families are found once per decomposition and shared by
-  ``group_settings`` and ``estimate_fidelity``; outcome signs are one
-  gather from the cached parity table.
+  ``group_settings`` and ``estimate_fidelity``.  They are read from the
+  term masks: a family is the terms sharing one X-mask, its condition
+  qubits are Z-mask bits outside it, and its Y letters Z-mask bits inside.
+- Every parity, in the Walsh sector split and in the outcome signs, is a
+  gather from ``qsim._bit_tables``, and ``basis_matrix`` stacks the kets
+  of ``qsim.basis_vectors``.
 """
 
 from __future__ import annotations
@@ -59,8 +63,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
+from operator import or_
 from typing import Sequence, Union
 
 import numpy as np
@@ -72,13 +77,12 @@ from .qsim import (
     StateVector,
     _bit_tables,
     _freeze,
+    basis_vectors,
     expectation,
 )
 
 MAX_DECOMP_QUBITS = 6
 MAX_SHOTS = 2 ** 53   # float64 holds every count up to here, so the sum check is exact
-
-_SQ2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -143,19 +147,18 @@ def _equatorial_token(degrees: int) -> str:
 
 @lru_cache(maxsize=None)
 def basis_matrix(token: str) -> np.ndarray:
-    """Unitary whose columns are the (outcome 0, outcome 1) basis kets; read-only."""
+    """Unitary whose columns are the (outcome 0, outcome 1) ``basis_vectors``; read-only.
+
+    Z is basis "z"; X, Y and M<deg> are B(alpha) at 0, 90 and deg degrees.
+    """
+    equatorial = {"X": "M0", "Y": "M90"}.get(token, token)
     if token == "Z":
-        return _freeze(np.eye(2, dtype=complex))
-    if token == "X":
-        theta = 0.0
-    elif token == "Y":
-        theta = math.pi / 2
-    elif token.startswith("M"):
-        theta = math.radians(int(token[1:]))
+        kets = basis_vectors("z")
+    elif equatorial.startswith("M"):
+        kets = basis_vectors("b", math.radians(int(equatorial[1:])))
     else:
         raise ValueError(f"unknown basis token {token!r}")
-    phase = np.exp(1j * theta)
-    return _freeze(np.array([[1, 1], [phase, -phase]], dtype=complex) / _SQ2)
+    return _freeze(np.column_stack(kets))
 
 
 @dataclass(frozen=True)
@@ -170,14 +173,6 @@ class Setting:
 
 def _compatible(pauli: PauliString, bases: tuple[str, ...]) -> bool:
     return all(c == "I" or c == b for c, b in zip(pauli.letters, bases))
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    counts = np.zeros_like(values)
-    while np.any(values):
-        counts += values & 1
-        values = values >> 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -223,35 +218,38 @@ def _place(n: int, flips: tuple[int, ...], pattern: tuple[str, ...]) -> tuple[st
     return tuple(bases)
 
 
-def _family_on(decomp: PauliDecomposition, flips: tuple[int, ...],
-               indices: list[int]) -> _Family | None:
-    """The coherence family formed by the terms with X/Y support ``flips``.
+def _pack(n: int, mask: int, qubits: tuple[int, ...]) -> int:
+    """The bits of ``mask`` on ``qubits``, with qubits[j] moved to bit j."""
+    return sum(1 << j for j, q in enumerate(qubits) if mask >> (n - 1 - q) & 1)
 
-    Returns ``None`` if the terms are not a family, or if a Z-conditioned
-    family would need no fewer settings than its Pauli patterns.
+
+def _family_on(decomp: PauliDecomposition, x: int, indices: list[int]) -> _Family | None:
+    """The coherence family of the terms with X-mask ``x``, the flip qubits.
+
+    A Z-mask bit outside ``x`` is a Z letter on a condition qubit, one inside
+    is a Y letter.  Returns ``None`` if the terms are not a family, or if a
+    Z-conditioned family would need no fewer settings than its Pauli patterns.
     """
-    n, m = decomp.n_qubits, len(flips)
+    n = decomp.n_qubits
     terms = [decomp.terms[i] for i in indices]
-    conditions = tuple(q for q in range(n) if any(p.letters[q] == "Z" for _, p in terms))
-    patterns = {p.letters.replace("Z", "I") for _, p in terms}
-    if conditions and len(patterns) <= m:
+    z_out = reduce(or_, (p.z_mask for _, p in terms)) & ~x
+    flips = tuple(q for q in range(n) if x >> (n - 1 - q) & 1)
+    conditions = tuple(q for q in range(n) if z_out >> (n - 1 - q) & 1)
+    m, n_patterns = len(flips), len({p.z_mask & x for _, p in terms})
+    if conditions and n_patterns <= m:
         return None  # each of the m identity terms needs a setting of its own
     n_sectors = 2 ** len(conditions)
 
     # coef[r, y]: coefficient of Z-mask r on the conditions, Y-mask y on the flips
     coef = np.zeros((n_sectors, 2 ** m))
     for c, pauli in terms:
-        y = sum(1 << j for j, q in enumerate(flips) if pauli.letters[q] == "Y")
-        r = sum(1 << j for j, q in enumerate(conditions) if pauli.letters[q] == "Z")
-        coef[r, y] = c
-    masks = np.arange(n_sectors)
-    walsh = 1.0 - 2.0 * (_popcount(masks[:, None] & masks[None, :]) & 1)
-    sector_ops = walsh @ coef        # Pauli coefficients of each sector's operator
+        coef[_pack(n, pauli.z_mask, conditions), _pack(n, pauli.z_mask, flips)] = c
+    masks, signs = _bit_tables(len(conditions))
+    sector_ops = signs[masks[:, None] & masks] @ coef   # each sector's Pauli coefficients
 
     # |a><~a| + h.c. = 2^{1-m} sum_{#Y even} (-1)^{#Y/2 + |Y & a|} P
-    ys = np.arange(2 ** m)
-    n_y = _popcount(ys)
-    ghz = np.where(n_y % 2 == 0, 1.0 - 2.0 * ((n_y // 2) & 1), 0.0)
+    ys, y_signs = _bit_tables(m)
+    ghz = np.array([(1.0, 0.0, -1.0, 0.0)[y.bit_count() % 4] for y in range(2 ** m)])
     norm = 2 ** (m - 1)
     sectors: list[tuple[float, int] | None] = []
     for z in range(n_sectors):
@@ -261,7 +259,7 @@ def _family_on(decomp: PauliDecomposition, flips: tuple[int, ...],
         else:
             a = sum(1 << j for j in range(1, m) if sector_ops[z, 1 | 1 << j] / g > 0)
             s = (g, a)
-        predicted = sector_ops[z, 0] * ghz * (1.0 - 2.0 * (_popcount(ys & a) & 1))
+        predicted = sector_ops[z, 0] * ghz * y_signs[ys & a]
         if np.max(np.abs(sector_ops[z] - predicted)) > 1e-12:
             return None
         sectors.append(s)
@@ -299,19 +297,18 @@ def _family_on(decomp: PauliDecomposition, flips: tuple[int, ...],
     if conditions:
         explicit = {p.bases for p in parts if p.bases is not None}
         delegated = [p for p in parts if p.bases is None]
-        if len(explicit) + len(delegated) >= len(patterns):
+        if len(explicit) + len(delegated) >= n_patterns:
             return None
-    return _Family(flips, terms[0][1].x_mask, conditions, tuple(indices), tuple(parts))
+    return _Family(flips, x, conditions, tuple(indices), tuple(parts))
 
 
 def _coherence_families(decomp: PauliDecomposition) -> tuple[_Family, ...]:
-    """Coherence families, one per X/Y support, in term order."""
-    groups: dict[tuple[int, ...], list[int]] = {}
+    """Coherence families, one per X-mask, in term order."""
+    groups: dict[int, list[int]] = {}
     for i, (_, pauli) in enumerate(decomp.terms):
-        flips = tuple(q for q, c in enumerate(pauli.letters) if c in "XY")
-        if flips:
-            groups.setdefault(flips, []).append(i)
-    families = (_family_on(decomp, flips, indices) for flips, indices in groups.items())
+        if pauli.x_mask:
+            groups.setdefault(pauli.x_mask, []).append(i)
+    families = (_family_on(decomp, x, indices) for x, indices in groups.items())
     return tuple(f for f in families if f is not None)
 
 
@@ -439,17 +436,11 @@ def exact_counts(rho: DensityMatrix, setting: Setting, shots: int) -> CountsTabl
     return CountsTable(setting, shots, probs * shots)
 
 
-def _sign_vector(n: int, mask: int) -> np.ndarray:
-    """(-1)^popcount(o & mask) at every outcome o."""
-    idx, signs = _bit_tables(n)
-    return signs[idx & mask]
-
-
 def _part_weights(n: int, family: _Family, part: _Part) -> np.ndarray:
     """Outcome weights with which ``part`` adds to the estimate of F."""
-    weights = part.scale * part.sign * _sign_vector(n, family.flip_mask)
+    outcomes, signs = _bit_tables(n)
+    weights = part.scale * part.sign * signs[outcomes & family.flip_mask]
     if part.sector is not None:
-        outcomes = np.arange(2 ** n)
         for j, q in enumerate(family.conditions):
             weights *= ((outcomes >> (n - 1 - q)) & 1) == ((part.sector >> j) & 1)
     return weights
@@ -475,6 +466,7 @@ def estimate_fidelity(tables: Sequence[CountsTable],
     covered by no table.
     """
     n = decomp.n_qubits
+    outcomes, signs = _bit_tables(n)
     by_bases = {table.setting.bases: table for table in tables}
     ordered = sorted(by_bases)
 
@@ -500,7 +492,7 @@ def estimate_fidelity(tables: Sequence[CountsTable],
         holder = next((b for b in ordered if _compatible(pauli, b)), None)
         if holder is None:
             raise ValueError(f"term {pauli.letters} is not covered by any table")
-        weights[holder] += coeff * _sign_vector(n, pauli.x_mask | pauli.z_mask)
+        weights[holder] += coeff * signs[outcomes & (pauli.x_mask | pauli.z_mask)]
 
     variance = 0.0
     for bases in ordered:

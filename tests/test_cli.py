@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import losskit
 from losskit import cluster
 from losskit.cli import (
     CSV_COLUMNS,
@@ -186,13 +188,28 @@ class TestBadConfigValues:
         assert isinstance(result.exception, SystemExit)   # a usage error, not a traceback
 
     @pytest.mark.parametrize("target", ["", "missing/x.csv"])
-    def test_unwritable_out_exits_2(self, tmp_path, target):
+    def test_unwritable_out_exits_2(self, tmp_path, monkeypatch, target):
+        def runner(cfg):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setitem(RUNNERS, "recover", runner)
         cfg = write_cfg(tmp_path, "r.cfg", "inputs = V\nshots = 10\n")
         out = tmp_path / target   # the directory itself, or a file in a missing one
         result = run_cli(["recover", "--config", cfg, "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "config field 'out'" in result.output
         assert isinstance(result.exception, SystemExit)
+
+
+class TestVersion:
+    def test_version_flag_works_from_a_source_checkout(self):
+        result = run_cli(["--version"])
+        assert result.exit_code == 0, result.output
+        assert result.output.split()[-1] == "0.1.0"
+
+    def test_package_version_matches_pyproject(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^version = "(.+)"$', pyproject, re.M).group(1) == losskit.__version__
 
 
 class TestLibraryCalls:

@@ -341,11 +341,27 @@ class TestRecoveryInvariants:
         assert abs(sum(r.probability for _, r in branches) - 1) <= 1e-9
         assert all(abs(r.fidelity - 1) <= 1e-9 for _, r in branches)
 
+        # White noise v: the pure part (weight v) gives every Z block's bits
+        # equal, each block value and each X outcome uniform, and fidelity 1;
+        # the mixed part gives each of the 2^k branches 2^-k and fidelity 1/2.
+        z_blocks: dict[int, list[int]] = {}
+        for j, step in enumerate(plan.steps):
+            if step.basis == "z":
+                z_blocks.setdefault(params.block_of(step.qubit), []).append(j)
+        n_x = sum(step.basis == "x" for step in plan.steps)
+        k = len(plan.steps)
+        p, q = 2.0 ** -(len(z_blocks) + n_x), 2.0 ** -k
+
         noisy = post_loss_state(psi, loss.lost, NoiseSpec(white_noise_v=v))
         branches = pattern_branches(noisy, plan, survivors, target=target)
         assert abs(sum(r.probability for _, r in branches) - 1) <= 1e-9
-        for _, r in branches:
+        assert [bits for bits, _ in branches] == list(product((0, 1), repeat=k))
+        for bits, r in branches:
             assert 0 <= r.probability <= 1 and 0 <= r.fidelity <= 1
+            agree = all(len({bits[j] for j in block}) == 1 for block in z_blocks.values())
+            probability = v * p * agree + (1 - v) * q
+            assert abs(r.probability - probability) <= 1e-12
+            assert abs(r.fidelity - (v * p * agree + (1 - v) * q / 2) / probability) <= 1e-12
 
 
 @st.composite

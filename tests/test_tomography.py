@@ -432,6 +432,57 @@ class TestEstimateFidelity:
             estimate_fidelity(tables, decomp)
 
 
+# (fidelity, sigma) of exact 1000-shot tables of every noisy_case, as float.hex():
+# GHZ families at n x 1, Z-conditioned families and phi5's delegated parts.
+ESTIMATE_BITS = {
+    "PLUS-2x1": ("0x1.d999999999996p-1", "0x1.776793ed35a42p-6"),
+    "PLUS-2x2": ("0x1.a2ec819dfa516p-1", "0x1.f8fd21ad5caadp-7"),
+    "PLUS-2x3": ("0x1.66f5a67248864p-1", "0x1.2357982e7a570p-7"),
+    "PLUS-3x1": ("0x1.d333333333330p-1", "0x1.b17ada62cc3b8p-6"),
+    "PLUS-3x2": ("0x1.877c91d61dafcp-1", "0x1.04e7033a11f80p-6"),
+    "PLUS-4x1": ("0x1.cffffffffffffp-1", "0x1.ce80e68b4d018p-6"),
+    "PLUS-5x1": ("0x1.ce66666666663p-1", "0x1.dd0337cab2024p-6"),
+    "PLUS-6x1": ("0x1.cd99999999996p-1", "0x1.e44437f2d6d99p-6"),
+    "R-2x1": ("0x1.c978d4fdf3b62p-1", "0x1.c0b1bee5a6d80p-7"),
+    "R-2x2": ("0x1.914ae85b9e8c3p-1", "0x1.5794928f9019fp-7"),
+    "R-2x3": ("0x1.653ba19c14419p-1", "0x1.9e9d430fa0166p-8"),
+    "R-3x1": ("0x1.b412ad81adea7p-1", "0x1.c81c7b500f801p-7"),
+    "R-3x2": ("0x1.750ece360949ap-1", "0x1.0426708f9d567p-7"),
+    "R-4x1": ("0x1.a2ec819dfa515p-1", "0x1.d69835def1fe9p-7"),
+    "R-5x1": ("0x1.9459e722ca968p-1", "0x1.e04c6f553bdd7p-7"),
+    "R-6x1": ("0x1.877c91d61dafdp-1", "0x1.e5b9d136c6d95p-7"),
+    "S-2x1": ("0x1.cd810624dd2f2p-1", "0x1.0e265647a1a9dp-6"),
+    "S-2x2": ("0x1.95b34eac357d8p-1", "0x1.5ee93e72fcf85p-7"),
+    "S-2x3": ("0x1.65aa22d1a152ap-1", "0x1.a003f77449970p-8"),
+    "S-3x1": ("0x1.bbdaceee0f3c9p-1", "0x1.253a9e2157141p-6"),
+    "S-3x2": ("0x1.79aa3f1e0e632p-1", "0x1.2da2f13bfe7d5p-7"),
+    "S-4x1": ("0x1.ae3161367bbd1p-1", "0x1.3438e896510b1p-6"),
+    "S-5x1": ("0x1.a2dd06f3b18a7p-1", "0x1.3c728e17434c6p-6"),
+    "S-6x1": ("0x1.9903d3c6fcaa4p-1", "0x1.40b9e949eb1cfp-6"),
+    "V-2x1": ("0x1.c978d4fdf3b64p-1", "0x1.c0b1bee5a6d82p-7"),
+    "V-2x2": ("0x1.914ae85b9e8c4p-1", "0x1.462c0365ae3b6p-7"),
+    "V-2x3": ("0x1.653ba19c1441dp-1", "0x1.969efa25140d7p-8"),
+    "V-3x1": ("0x1.b412ad81adea8p-1", "0x1.e001e4abe08d6p-7"),
+    "V-3x2": ("0x1.750ece3609498p-1", "0x1.1c781165c2ebcp-7"),
+    "V-4x1": ("0x1.a2ec819dfa517p-1", "0x1.f8fd21ad5caafp-7"),
+    "V-5x1": ("0x1.9459e722ca96ap-1", "0x1.02a6110cb89c8p-6"),
+    "V-6x1": ("0x1.877c91d61dafcp-1", "0x1.04e7033a11f80p-6"),
+    "phi5": ("0x1.73a158cd1818bp-1", "0x1.21d5aac2a4bebp-7"),
+    "random2-1": ("0x1.baf6f0555a431p-1", "0x1.e34b72b2c198ap-7"),
+    "random3-2": ("0x1.9fed720fe8debp-1", "0x1.80c8b4847a3fcp-7"),
+    "random4-3": ("0x1.82075c01c4163p-1", "0x1.20c6b5ac62610p-7"),
+    "random4-4": ("0x1.74bbd86371247p-1", "0x1.2a060d3ce9b0fp-7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_CASES))
+def test_exact_estimate_bits_are_pinned(name):
+    psi, rho, settings = noisy_case(name)
+    fid, sigma = estimate_fidelity([exact_counts(rho, s, 1000) for s in settings],
+                                   decompose_projector(psi))
+    assert (fid.hex(), sigma.hex()) == ESTIMATE_BITS[name]
+
+
 class TestCountsCsv:
     def test_round_trip(self, tmp_path):
         for name in ("V", "PLUS", "phi5"):
