@@ -162,6 +162,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name in cfg.inputs:
         if name not in PRESETS:
             raise ConfigError("inputs", f"unknown input preset {name!r}")
+    if len(set(cfg.inputs)) != len(cfg.inputs):
+        raise ConfigError("inputs", f"expected distinct input presets, "
+                                    f"got {','.join(cfg.inputs)!r}")
     if cfg.experiment in ("encode", "recover") and not cfg.inputs:
         raise ConfigError("inputs", "expected at least one input preset")
     for key, value in (("noise_v", cfg.noise_v), ("noise_d", cfg.noise_d),
@@ -211,6 +214,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _recover_losses(cfg)
         widths = {total - 2}
     if cfg.force_branch:
+        if not widths:
+            raise ConfigError("force_branch", f"{cfg.experiment} has no outcome branches")
         bits = _branch_bits(cfg.force_branch)
         if bits is None:
             raise ConfigError("force_branch", f"expected outcome bits, got {cfg.force_branch!r}")
@@ -247,17 +252,13 @@ def _oneway_cases(cfg: ExperimentConfig) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in cfg.lost.split(",") if tok.strip())
 
 
-def _noise(cfg: ExperimentConfig) -> NoiseSpec:
+def _noise(cfg: ExperimentConfig, auto: tuple[tuple[int, int], ...]) -> NoiseSpec:
+    """The config's noise channel, on the library's lab placement ``auto`` for
+    ``dephase_pairs = auto``, else on the given pairs."""
+    pairs = (auto if cfg.dephase_pairs == "auto"
+             else _parse_pairs(cfg.dephase_pairs, "dephase_pairs"))
     return NoiseSpec(white_noise_v=cfg.noise_v, pair_dephasing_d=cfg.noise_d,
-                     epr_visibility=cfg.noise_visibility)
-
-
-def _noise_pairs(cfg: ExperimentConfig,
-                 auto: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """The library's lab placement ``auto`` for ``dephase_pairs = auto``, else the given pairs."""
-    if cfg.dephase_pairs == "auto":
-        return auto
-    return _parse_pairs(cfg.dephase_pairs, "dephase_pairs")
+                     epr_visibility=cfg.noise_visibility, pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -313,7 +314,7 @@ def _row(cfg: ExperimentConfig, **cells) -> ResultRow:
 
 def _tomography_row(cfg: ExperimentConfig, name: str, psi, auto, key: int,
                     **cells) -> ResultRow:
-    rho = apply_channel(psi.density(), _noise(cfg), interfering_pairs=_noise_pairs(cfg, auto))
+    rho = apply_channel(psi.density(), _noise(cfg, auto))
     fidelity, sigma, settings = sampled_fidelity(psi, rho, cfg.shots, cfg.seed, key)
     return _row(cfg, input=name, fidelity=fidelity, sigma=sigma, settings=settings, **cells)
 
@@ -344,8 +345,8 @@ def run_recover(cfg: ExperimentConfig) -> list[ResultRow]:
     code = dict(code_n=cfg.code_n, code_m=cfg.code_m)
     rows = []
     for name in cfg.inputs:
-        sweep = recovery_sweep([PRESETS[name]], params, _noise(cfg), losses=losses,
-                               pairs=_noise_pairs(cfg, lab_pairs(params, name)), forced=forced)
+        sweep = recovery_sweep([PRESETS[name]], params, _noise(cfg, lab_pairs(params, name)),
+                               losses=losses, forced=forced)
         rows.extend(_branch_rows(cfg, sweep, **code))
         if forced is None:
             mean, sigma = loss_average(sweep, cfg.shots)
@@ -355,8 +356,8 @@ def run_recover(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def run_oneway(cfg: ExperimentConfig) -> list[ResultRow]:
     """One-way rotation under photon loss, all forced branches."""
-    return _branch_rows(cfg, rotation_sweep(_oneway_cases(cfg), cfg.alphas, _noise(cfg),
-                                            pairs=_noise_pairs(cfg, PHI5_PAIRS),
+    return _branch_rows(cfg, rotation_sweep(_oneway_cases(cfg), cfg.alphas,
+                                            _noise(cfg, PHI5_PAIRS),
                                             forced=_branch_bits(cfg.force_branch)))
 
 
@@ -370,6 +371,9 @@ RUNNERS = {
 
 def _execute(experiment: str, config_path: str, **overrides) -> None:
     cfg = parse_config(config_path)
+    if cfg.experiment not in ("", experiment):
+        raise ConfigError("experiment", f"the config is for {cfg.experiment!r}, "
+                                        f"not {experiment!r}")
     cfg.experiment = experiment
     for key, value in overrides.items():
         if value is not None:

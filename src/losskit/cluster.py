@@ -485,18 +485,16 @@ def loss_case_pattern(lost: str, alpha: float) -> MeasurementPattern:
 
 
 def _rotation_setup(lost: str, alpha: float, noise: NoiseSpec | None,
-                    interfering_pairs: Sequence[tuple[int, int]],
                     ) -> tuple[DensityMatrix, MeasurementPattern, tuple[int, ...]]:
     """phi5 after the case's loss, the case's pattern, and the survivors' photon labels."""
     pattern = loss_case_pattern(lost, alpha)
     erase_photon = LOSS_CASES[lost]["erase"]   # photon k lives on qubit k-1
-    rho = post_loss_state(phi5(), [erase_photon - 1], noise, interfering_pairs)
+    rho = post_loss_state(phi5(), [erase_photon - 1], noise)
     labels = tuple(p for p in range(1, 6) if p != erase_photon)
     return rho, pattern, labels
 
 
 def loss_tolerant_rotation(lost: str, alpha: float, noise: NoiseSpec | None = None, *,
-                           interfering_pairs: Sequence[tuple[int, int]] = (),
                            forced: Sequence[int] | None = None,
                            rng: np.random.Generator | None = None) -> OneWayResult:
     """Run the single-qubit rotation on phi5 with one photon lost.
@@ -505,20 +503,18 @@ def loss_tolerant_rotation(lost: str, alpha: float, noise: NoiseSpec | None = No
     and compares the readout photon against ``rotation_target(alpha)``.
     ``forced`` fixes the (helper, redundant, rotation) outcome bits.
     """
-    rho, pattern, labels = _rotation_setup(lost, alpha, noise, interfering_pairs)
+    rho, pattern, labels = _rotation_setup(lost, alpha, noise)
     return run_pattern(rho, pattern, labels, forced=forced, rng=rng,
                        target=rotation_target(alpha))
 
 
 def rotation_sweep(cases: Sequence[str], alphas: Sequence[float],
                    noise: NoiseSpec | None = None, *,
-                   pairs: Sequence[tuple[int, int]] = (),
                    forced: Sequence[int] | None = None) -> list[BranchRow]:
     """Exhaustive branch table over (loss case, alpha, outcome branch).
 
     Each ``BranchRow`` (input ``phi5``, ``lost`` the case) carries the exact
-    branch probability and the fidelity against ``rotation_target(alpha)``;
-    ``pairs`` places the interfering pairs of the ``noise`` channel.
+    branch probability and the fidelity against ``rotation_target(alpha)``.
     Zero-probability branches are omitted, and the kept probabilities of
     each (case, alpha) must sum to 1.  ``forced`` runs that one branch per
     (case, alpha) instead, and raises if it has zero probability.  Rows are
@@ -527,7 +523,7 @@ def rotation_sweep(cases: Sequence[str], alphas: Sequence[float],
     rows = []
     for case in cases:
         for alpha in alphas:
-            rho, pattern, labels = _rotation_setup(case, alpha, noise, pairs)
+            rho, pattern, labels = _rotation_setup(case, alpha, noise)
             branches = pattern_branches(rho, pattern, labels, target=rotation_target(alpha),
                                         forced=forced, where=f"loss case {case}, alpha {alpha:.9f}")
             rows.extend(BranchRow("phi5", case, alpha, "".join(map(str, bits)), res.probability,

@@ -59,13 +59,13 @@ The two hot kernels work on basis indices rather than tensor axes:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-ATOL = 1e-10
 _ZERO_PROB = 1e-12
 
 _SQ2 = math.sqrt(2.0)
@@ -276,25 +276,32 @@ class PauliString:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Phenomenological noise knobs for state preparation.
+    """Phenomenological noise knobs for state preparation, and where they act.
 
     ``white_noise_v`` keeps the state with weight v and admixes the maximally
-    mixed state with weight 1-v.  ``pair_dephasing_d`` applies, per declared
-    interfering pair, ``rho -> (1-d) rho + d (Z@Z) rho (Z@Z)``.
-    ``epr_visibility`` models an imperfect pair source: per declared pair it
-    phase-flips the first member with probability (1-V)/2, which on a Bell
-    pair leaves <XX> = V.
+    mixed state with weight 1-v.  ``pairs`` lists the interfering pairs
+    (i, j) of qubit indices.  ``pair_dephasing_d`` applies, per pair,
+    ``rho -> (1-d) rho + d (Z@Z) rho (Z@Z)``.  ``epr_visibility`` models an
+    imperfect pair source: per pair it phase-flips the first member with
+    probability (1-V)/2, which on a Bell pair leaves <XX> = V.  A pair's
+    range is checked against the state the channel is applied to.
     """
 
     white_noise_v: float = 1.0
     pair_dephasing_d: float = 0.0
     epr_visibility: float = 1.0
+    pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         for name in ("white_noise_v", "pair_dephasing_d", "epr_visibility"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
+        pairs = tuple((operator.index(i), operator.index(j)) for i, j in self.pairs)
+        for i, j in pairs:
+            if i == j:
+                raise ValueError(f"invalid interfering pair ({i}, {j})")
+        object.__setattr__(self, "pairs", pairs)
 
     def is_noiseless(self) -> bool:
         return (self.white_noise_v == 1.0 and self.pair_dephasing_d == 0.0
@@ -372,7 +379,7 @@ def apply_gate(state: State, gate: str, targets: Sequence[int], *,
     u = _gate_matrix(gate, alpha)
     arity = int(round(math.log2(u.shape[0])))
     targets = list(targets)
-    _check_targets(_n_qubits(state), targets, arity)
+    _check_targets(state.n_qubits, targets, arity)
     if isinstance(state, StateVector):
         n = state.n_qubits
         psi = state.amplitudes.reshape((2,) * n)
@@ -383,10 +390,6 @@ def apply_gate(state: State, gate: str, targets: Sequence[int], *,
     t = _apply_on_axes(t, u, targets)
     t = _apply_on_axes(t, u.conj(), [n + q for q in targets])
     return DensityMatrix._trusted(n, t.reshape(2 ** n, 2 ** n))
-
-
-def _n_qubits(state: State) -> int:
-    return state.n_qubits
 
 
 def partial_trace(rho: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
@@ -538,7 +541,7 @@ def expectation(state: State, obs: PauliString) -> float:
     letters, P|c> = i^ny (-1)^popcount(c & z) |c ^ x>, so one gather
     evaluates it.  The masks and i^ny are read from the string, not parsed.
     """
-    n = _n_qubits(state)
+    n = state.n_qubits
     if len(obs) != n:
         raise ValueError(f"Pauli string length {len(obs)} does not match {n} qubits")
     x, z, i_power = obs.x_mask, obs.z_mask, obs.y_phase
@@ -568,27 +571,25 @@ def fidelity_pure(psi: StateVector, rho: Union[DensityMatrix, StateVector]) -> f
     return float(val.real)
 
 
-def _z_masks(spec: NoiseSpec, interfering_pairs: Iterable[Sequence[int]], n: int,
-             kept: Sequence[int]) -> list[tuple[float, int]]:
+def _z_masks(spec: NoiseSpec, n: int, kept: Sequence[int]) -> list[tuple[float, int]]:
     """The Z-type mixing terms of ``spec`` as ``(weight, Z-mask)`` on the qubits ``kept``.
 
-    Each pair (i, j) of the ``n`` qubits gives the dephasing term (d, {i, j})
-    and the visibility term ((1-V)/2, {i}); terms of weight zero are left
-    out.  Qubits not in ``kept`` leave the support, ``kept`` is renumbered
-    in order, and a term with no qubit left drops out.
+    Each of the spec's pairs (i, j) of the ``n`` qubits gives the dephasing
+    term (d, {i, j}) and the visibility term ((1-V)/2, {i}); terms of weight
+    zero are left out.  Qubits not in ``kept`` leave the support, ``kept``
+    is renumbered in order, and a term with no qubit left drops out.
     """
-    pairs = [tuple(p) for p in interfering_pairs]
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
+    for i, j in spec.pairs:
+        if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"invalid interfering pair ({i}, {j})")
     bit = [0] * n   # each qubit's bit in a Z-mask on ``kept``; 0 if it is not kept
     for k, q in enumerate(kept):
         bit[q] = 1 << (len(kept) - 1 - k)
     masks = []
     if spec.pair_dephasing_d > 0.0:
-        masks += [(spec.pair_dephasing_d, bit[i] | bit[j]) for i, j in pairs]
+        masks += [(spec.pair_dephasing_d, bit[i] | bit[j]) for i, j in spec.pairs]
     if spec.epr_visibility < 1.0:
-        masks += [((1.0 - spec.epr_visibility) / 2.0, bit[i]) for i, _ in pairs]
+        masks += [((1.0 - spec.epr_visibility) / 2.0, bit[i]) for i, _ in spec.pairs]
     return [(w, z) for w, z in masks if z]
 
 
@@ -617,19 +618,18 @@ def _add_noise(mat: np.ndarray, n: int, v: float, masks: Sequence[tuple[float, i
         mat[idx, idx] += (1.0 - v) / 2 ** n
 
 
-def apply_channel(rho: DensityMatrix, spec: NoiseSpec,
-                  interfering_pairs: Sequence[tuple[int, int]] = ()) -> DensityMatrix:
+def apply_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
     """Apply the preparation-noise channel described by ``spec``.
 
     Components compose in the listed order: white noise first, then for each
-    declared pair the ZZ dephasing map, then the pair-source visibility map
-    (a phase flip on the first member of each pair with probability (1-V)/2).
+    of the spec's pairs the ZZ dephasing map, then the pair-source visibility
+    map (a phase flip on the first member of each pair with probability (1-V)/2).
     All three maps are unital and mutually commuting, so the order is a
     documentation choice rather than a physical one.  A noiseless ``spec``
     returns ``rho`` itself.
     """
     n = rho.n_qubits
-    masks = _z_masks(spec, interfering_pairs, n, range(n))
+    masks = _z_masks(spec, n, range(n))
     if spec.is_noiseless():
         return rho
     mat = rho.matrix.copy()   # C order, whatever the layout of rho.matrix
@@ -637,15 +637,15 @@ def apply_channel(rho: DensityMatrix, spec: NoiseSpec,
     return DensityMatrix._trusted(n, mat)
 
 
-def post_loss_state(psi: StateVector, lost: Iterable[int], spec: NoiseSpec | None = None,
-                    interfering_pairs: Sequence[tuple[int, int]] = ()) -> DensityMatrix:
+def post_loss_state(psi: StateVector, lost: Iterable[int],
+                    spec: NoiseSpec | None = None) -> DensityMatrix:
     """The survivors' state after ``psi`` is prepared with noise ``spec`` and ``lost`` is lost.
 
-    Equal to ``partial_trace(apply_channel(psi.density(), spec,
-    interfering_pairs), lost)`` (survivors keep their relative order), but
-    never forms the 2^n x 2^n matrix.  With the amplitudes arranged as a
-    matrix A whose rows index the survivors and whose columns index the lost
-    qubits, Tr_L |psi><psi| = A A^dagger.  The channel maps through the
+    Equal to ``partial_trace(apply_channel(psi.density(), spec), lost)``
+    (survivors keep their relative order), but never forms the 2^n x 2^n
+    matrix.  With the amplitudes arranged as a matrix A whose rows index the
+    survivors and whose columns index the lost qubits, Tr_L |psi><psi| =
+    A A^dagger.  The channel maps through the
     trace term by term: white noise stays white noise on the survivors, and
     since Tr_L[Z rho Z] = Z' Tr_L[rho] Z' with Z' the survivors' part of Z,
     a Z-type term keeps its weight and loses its lost qubits, and drops out
@@ -660,7 +660,7 @@ def post_loss_state(psi: StateVector, lost: Iterable[int], spec: NoiseSpec | Non
         raise ValueError("cannot discard every qubit")
     spec = spec if spec is not None else NoiseSpec()
     survivors = [q for q in range(n) if q not in lost]
-    masks = _z_masks(spec, interfering_pairs, n, survivors)
+    masks = _z_masks(spec, n, survivors)
     s = len(survivors)
     a = psi.amplitudes.reshape((2,) * n).transpose(survivors + lost).reshape(2 ** s, -1)
     mat = a @ a.conj().T

@@ -155,16 +155,13 @@ def shot_sigma(fidelity: float, shots: int) -> float:
 def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
                    noise: NoiseSpec | None = None, *,
                    losses: Sequence[int] | None = None,
-                   pairs: Sequence[tuple[int, int]] = (),
-                   forced: Sequence[int] | None = None,
-                   ) -> list[BranchRow]:
+                   forced: Sequence[int] | None = None) -> list[BranchRow]:
     """Exhaustive branch table over (input, single lost qubit, outcome branch).
 
     Every branch is executed with forced outcomes, so each ``BranchRow``
     (``lost`` the qubit index as text) carries the exact branch probability
-    and output fidelity.  ``pairs`` places the interfering pairs of the
-    ``noise`` channel.  Zero-probability branches are omitted, and the kept
-    probabilities of each (input, loss) must sum to 1.  ``forced`` runs
+    and output fidelity.  Zero-probability branches are omitted, and the
+    kept probabilities of each (input, loss) must sum to 1.  ``forced`` runs
     that one branch per (input, loss) instead, and raises if it has zero
     probability.  Rows are ordered by input (as given), loss (as given,
     default ascending), then branch bits lexicographically.
@@ -177,7 +174,7 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
         for lost_q in loss_positions:
             loss = LossPattern({lost_q})
             plan = plan_recovery(params, loss)
-            reduced = post_loss_state(psi, loss.lost, noise, pairs)
+            reduced = post_loss_state(psi, loss.lost, noise)
             branches = pattern_branches(reduced, plan, _survivors(plan), target=target,
                                         forced=forced, where=f"input {name}, lost qubit {lost_q}")
             rows.extend(BranchRow(name, str(lost_q), None, "".join(map(str, bits)),

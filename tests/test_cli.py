@@ -105,6 +105,10 @@ class TestConfigParsing:
         ("recover", "code_n = 3\ncode_m = 2\nforce_branch = 01\n", "force_branch"),
         ("oneway", "force_branch = 01\n", "force_branch"),
         ("oneway", "force_branch = 0101\n", "force_branch"),
+        ("encode", "force_branch = 0101\n", "force_branch"),   # no outcome branches
+        ("cluster-fidelity", "force_branch = 0\n", "force_branch"),
+        ("recover", "inputs = V,V\n", "inputs"),   # each row would print twice
+        ("encode", "inputs = V,PLUS,V\n", "inputs"),
         ("encode", "inputs = ,\n", "inputs"),
         ("recover", "inputs = ,\n", "inputs"),
         ("oneway", "alphas = ,\n", "alphas"),
@@ -121,6 +125,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=field):   # caught before any runner starts
             validate_config(parsed)
 
+    @pytest.mark.parametrize("stated, code", [
+        ("recover", 0), ("", 0), ("oneway", 2), ("encode", 2), ("nope", 2)])
+    def test_config_experiment_must_match_the_subcommand(self, tmp_path, stated, code):
+        cfg = write_cfg(tmp_path, "r.cfg",
+                        f"experiment = {stated}\ninputs = V\nlost = 0\nshots = 10\n")
+        result = run_cli(["recover", "--config", cfg])
+        assert result.exit_code == code, result.output
+        if code:
+            assert "config field 'experiment'" in result.output
+            assert isinstance(result.exception, SystemExit)
+        else:
+            assert "# experiment=recover" in result.output
 
     @pytest.mark.parametrize("shots, code", [(MAX_SHOTS, 0), (MAX_SHOTS + 1, 2)])
     def test_shots_cap_is_the_exact_float64_count(self, tmp_path, shots, code):
@@ -160,12 +176,13 @@ BAD_VALUES = {
                             st.sampled_from(["x", "1.5"])).map(str)),
     "format": (ALL, st.text("acjnosvxCSV ,.", max_size=6).filter(
         lambda t: t.strip() not in ("csv", "json"))),
-    "inputs": (ALL, st.sampled_from(["NOPE", "V,X", "v", "PLUS,R,phi5"])),
+    "inputs": (ALL, st.sampled_from(["NOPE", "V,X", "v", "PLUS,R,phi5", "V,V", "R,PLUS,R"])),
     "dephase_pairs": (ALL, st.sampled_from(["0:9", "0:0", "a:b", "1-2", "0:1:2", "-1:2"])),
     "alphas": (ALL, st.sampled_from(["pi/0", "inf", "nan", "1e400", "abc", "1/pi", "0,2pi3"])),
     "lost": (("recover", "oneway"),
              st.sampled_from(["9", "-1", "1,1", "photon3", ",", "photon2,photon2"])),
-    "force_branch": (("recover", "oneway"), st.sampled_from(["2", "ab", "0101", "0", "0 1 2"])),
+    "force_branch": (ALL, st.sampled_from(["2", "ab", "0101", "0", "0 1 2"])),
+    "experiment": (ALL, st.sampled_from(["nope", "Recover", "cluster", "encode,recover"])),
     "out": (ALL, st.sampled_from(["", "missing/x.csv"])),   # the directory, a missing one
 }
 
@@ -230,23 +247,23 @@ class TestLibraryCalls:
         rows = self.rows(tmp_path, "encode")
         for key, (name, row) in enumerate(zip(("V", "PLUS", "R"), rows)):
             psi = encode(PRESETS[name], params)
-            rho = apply_channel(psi.density(), self.NOISE,
-                                interfering_pairs=lab_pairs(params, name))
+            noise = replace(self.NOISE, pairs=lab_pairs(params, name))
+            rho = apply_channel(psi.density(), noise)
             assert (row.fidelity, row.sigma, row.settings) == sampled_fidelity(
                 psi, rho, 1000, 5, key)
         assert len(rows) == 3
 
     def test_cluster_fidelity(self, tmp_path):
         (row,) = self.rows(tmp_path, "cluster-fidelity")
-        rho = apply_channel(phi5().density(), self.NOISE, interfering_pairs=PHI5_PAIRS)
+        rho = apply_channel(phi5().density(), replace(self.NOISE, pairs=PHI5_PAIRS))
         assert (row.fidelity, row.sigma, row.settings) == sampled_fidelity(phi5(), rho, 1000, 5)
 
     def test_recover_branches_and_avg(self, tmp_path):
         params = CodeParams(2, 2)
         rows = iter(self.rows(tmp_path, "recover"))
         for name in ("V", "PLUS", "R"):
-            sweep = recovery_sweep([PRESETS[name]], params, self.NOISE,
-                                   pairs=lab_pairs(params, name))
+            sweep = recovery_sweep([PRESETS[name]], params,
+                                   replace(self.NOISE, pairs=lab_pairs(params, name)))
             for want in sweep:
                 got = next(rows)
                 assert (got.input, got.lost, got.branch, got.alpha, got.fidelity, got.sigma) == (
@@ -259,8 +276,8 @@ class TestLibraryCalls:
 
     def test_oneway(self, tmp_path):
         rows = self.rows(tmp_path, "oneway")
-        sweep = rotation_sweep(("photon2", "photon4"), (0.3, -math.pi / 3), self.NOISE,
-                               pairs=PHI5_PAIRS)
+        sweep = rotation_sweep(("photon2", "photon4"), (0.3, -math.pi / 3),
+                               replace(self.NOISE, pairs=PHI5_PAIRS))
         assert [(r.input, r.lost, r.branch, r.alpha, r.fidelity, r.sigma) for r in rows] == [
             (w.input, w.lost, w.branch, w.alpha, w.fidelity, shot_sigma(w.fidelity, 1000))
             for w in sweep]

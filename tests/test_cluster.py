@@ -483,22 +483,21 @@ class TestLossTolerantRotation:
     @given(st.floats(-4, 4), st.floats(0.5, 1.0), st.floats(0.0, 0.2), st.floats(0.5, 1.0),
            st.sampled_from([(), ((0, 1),), ((1, 3), (2, 4))]))
     def test_noisy_branch_probabilities_sum_to_one(self, alpha, v, d, vis, pairs):
-        noise = NoiseSpec(white_noise_v=v, pair_dephasing_d=d, epr_visibility=vis)
+        noise = NoiseSpec(white_noise_v=v, pair_dephasing_d=d, epr_visibility=vis, pairs=pairs)
         for case in LOSS_CASES:
-            rows = rotation_sweep([case], [alpha], noise, pairs=pairs)
+            rows = rotation_sweep([case], [alpha], noise)
             assert abs(sum(row.probability for row in rows) - 1) <= 1e-12
 
     def test_sweep_rows_match_single_runs(self):
-        noise = NoiseSpec(white_noise_v=0.7, pair_dephasing_d=0.1)
-        rows = rotation_sweep(["photon4", "photon2"], [0.3, -1.1], noise, pairs=((0, 1),))
+        noise = NoiseSpec(white_noise_v=0.7, pair_dephasing_d=0.1, pairs=((0, 1),))
+        rows = rotation_sweep(["photon4", "photon2"], [0.3, -1.1], noise)
         assert [(r.lost, r.alpha) for r in rows[::8]] == [
             ("photon4", 0.3), ("photon4", -1.1), ("photon2", 0.3), ("photon2", -1.1)]
         for row in rows:
             bits = tuple(int(b) for b in row.branch)
-            single = loss_tolerant_rotation(row.lost, row.alpha, noise,
-                                            interfering_pairs=((0, 1),), forced=bits)
+            single = loss_tolerant_rotation(row.lost, row.alpha, noise, forced=bits)
             assert (row.probability, row.fidelity) == (single.probability, single.fidelity)
-        forced = rotation_sweep(["photon2"], [0.3], noise, pairs=((0, 1),), forced=(1, 0, 1))
+        forced = rotation_sweep(["photon2"], [0.3], noise, forced=(1, 0, 1))
         assert [r.branch for r in forced] == ["101"]
 
     def test_sweep_checks_probabilities_sum_to_one(self, monkeypatch):

@@ -140,9 +140,8 @@ class TestInternalResults:
         rho = psi.density()
         order = data.draw(st.permutations(range(psi.n_qubits)))
         pairs = [(order[0], order[1])]
-        spec = NoiseSpec(v, d, visibility)
-        check_internal_result(lambda: apply_channel(rho, spec, interfering_pairs=pairs),
-                              rho.matrix)
+        spec = NoiseSpec(v, d, visibility, pairs=pairs)
+        check_internal_result(lambda: apply_channel(rho, spec), rho.matrix)
 
     @INVARIANTS
     @given(pure_states(), st.floats(0, 0.999), st.floats(0, 1), st.floats(0, 1), st.data())
@@ -150,8 +149,8 @@ class TestInternalResults:
         order = data.draw(st.permutations(range(psi.n_qubits)))
         lost = order[:data.draw(st.integers(1, psi.n_qubits - 1))]
         pairs = [(order[0], order[-1])]
-        spec = NoiseSpec(v, d, visibility)
-        check_internal_result(lambda: post_loss_state(psi, lost, spec, pairs), psi.amplitudes)
+        spec = NoiseSpec(v, d, visibility, pairs=pairs)
+        check_internal_result(lambda: post_loss_state(psi, lost, spec), psi.amplitudes)
 
 
 class TestGates:
@@ -391,24 +390,24 @@ def reference_conjugate_mix(rho_mat, n, weight, paulis):
     return (1.0 - weight) * rho_mat + weight * t.reshape(rho_mat.shape)
 
 
-def reference_channel(rho, spec, pairs):
+def reference_channel(rho, spec):
     """The noise channel as a white-noise step and one conjugation pass per term."""
     n = rho.n_qubits
     v = spec.white_noise_v
     mat = v * rho.matrix
     mat[np.diag_indices(2 ** n)] += (1.0 - v) / 2 ** n
     if spec.pair_dephasing_d > 0.0:
-        for i, j in pairs:
+        for i, j in spec.pairs:
             mat = reference_conjugate_mix(mat, n, spec.pair_dephasing_d, {i: "Z", j: "Z"})
     if spec.epr_visibility < 1.0:
-        for i, _ in pairs:
+        for i, _ in spec.pairs:
             mat = reference_conjugate_mix(mat, n, (1.0 - spec.epr_visibility) / 2.0, {i: "Z"})
     return DensityMatrix(n, mat)
 
 
-def reference_post_loss(psi, lost, spec, pairs):
+def reference_post_loss(psi, lost, spec):
     """density(), then the reference channel on all n qubits, then the partial trace."""
-    return partial_trace(reference_channel(psi.density(), spec, pairs), lost)
+    return partial_trace(reference_channel(psi.density(), spec), lost)
 
 
 class TestKernelsAgainstReference:
@@ -522,7 +521,7 @@ class TestKernelsAgainstReference:
 
 @st.composite
 def noisy_losses(draw):
-    """(psi, lost, spec, pairs): 1-2 lost qubits and pairs with 0, 1 and 2 members lost."""
+    """(psi, lost, spec): 1-2 lost qubits and spec pairs with 0, 1 and 2 members lost."""
     psi = draw(pure_states())
     n = psi.n_qubits
     order = draw(st.permutations(range(n)))
@@ -534,27 +533,28 @@ def noisy_losses(draw):
     pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                            .filter(lambda p: p[0] != p[1]), max_size=3))
     pairs = draw(st.permutations(pairs))
-    spec = NoiseSpec(draw(st.floats(0, 1)), draw(st.floats(0, 1)), draw(st.floats(0, 1)))
-    return psi, lost, spec, pairs
+    spec = NoiseSpec(draw(st.floats(0, 1)), draw(st.floats(0, 1)), draw(st.floats(0, 1)),
+                     pairs=pairs)
+    return psi, lost, spec
 
 
 class TestPostLossState:
     @INVARIANTS
     @given(noisy_losses())
     def test_matches_trace_of_full_noisy_matrix(self, case):
-        psi, lost, spec, pairs = case
-        out = post_loss_state(psi, lost, spec, pairs)
-        ref = reference_post_loss(psi, lost, spec, pairs)
+        psi, lost, spec = case
+        out = post_loss_state(psi, lost, spec)
+        ref = reference_post_loss(psi, lost, spec)
         assert out.n_qubits == ref.n_qubits
         assert np.max(np.abs(out.matrix - ref.matrix)) <= 1e-12
 
     @INVARIANTS
     @given(noisy_losses())
     def test_apply_channel_matches_reference(self, case):
-        psi, _, spec, pairs = case
+        psi, _, spec = case
         rho = psi.density()
-        out = apply_channel(rho, spec, interfering_pairs=pairs)
-        assert np.max(np.abs(out.matrix - reference_channel(rho, spec, pairs).matrix)) <= 1e-12
+        out = apply_channel(rho, spec)
+        assert np.max(np.abs(out.matrix - reference_channel(rho, spec).matrix)) <= 1e-12
 
     def test_noiseless_and_no_loss(self):
         psi = random_state(np.random.default_rng(60), 4)
@@ -571,9 +571,9 @@ class TestPostLossState:
     def test_errors_match_the_full_path(self):
         psi = random_state(np.random.default_rng(61), 3)
         with pytest.raises(ValueError, match=r"invalid interfering pair \(0, 3\)"):
-            post_loss_state(psi, [0], NoiseSpec(), [(0, 3)])
+            post_loss_state(psi, [0], NoiseSpec(pairs=[(0, 3)]))
         with pytest.raises(ValueError, match=r"invalid interfering pair \(1, 1\)"):
-            post_loss_state(psi, [0], NoiseSpec(pair_dephasing_d=0.1), [(1, 1)])
+            post_loss_state(psi, [0], NoiseSpec(pair_dephasing_d=0.1, pairs=[(1, 1)]))
         with pytest.raises(ValueError, match="qubit 3 out of range for 3 qubits"):
             post_loss_state(psi, [3])
         with pytest.raises(ValueError, match="qubit -1 out of range for 3 qubits"):
@@ -694,7 +694,7 @@ class TestChannels:
     def test_noiseless_limit(self):
         rng = np.random.default_rng(9)
         rho = random_state(rng, 3).density()
-        out = apply_channel(rho, NoiseSpec(), interfering_pairs=[(0, 1)])
+        out = apply_channel(rho, NoiseSpec(pairs=[(0, 1)]))
         assert out is rho
 
     def test_full_depolarization(self):
@@ -710,8 +710,8 @@ class TestChannels:
         np.testing.assert_allclose(out.matrix, 0.8 * rho.matrix + 0.1 * np.eye(2), atol=1e-15)
 
     def test_visibility_on_bell_pair(self):
-        spec = NoiseSpec(epr_visibility=0.92)
-        out = apply_channel(bell_phi_plus().density(), spec, interfering_pairs=[(0, 1)])
+        spec = NoiseSpec(epr_visibility=0.92, pairs=[(0, 1)])
+        out = apply_channel(bell_phi_plus().density(), spec)
         assert abs(expectation(out, PauliString("XX")) - 0.92) < 1e-12
         expected = (0.92 * bell_phi_plus().density().matrix
                     + 0.08 * np.diag([0.5, 0, 0, 0.5]))
@@ -721,8 +721,7 @@ class TestChannels:
         rng = np.random.default_rng(12)
         psi = random_state(rng, 2)
         d = 0.3
-        out = apply_channel(psi.density(), NoiseSpec(pair_dephasing_d=d),
-                            interfering_pairs=[(0, 1)])
+        out = apply_channel(psi.density(), NoiseSpec(pair_dephasing_d=d, pairs=[(0, 1)]))
         zz = np.kron(PAULI_Z, PAULI_Z)
         expected = (1 - d) * psi.density().matrix + d * zz @ psi.density().matrix @ zz
         np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
@@ -730,17 +729,29 @@ class TestChannels:
     def test_channel_output_is_valid_state(self):
         rng = np.random.default_rng(13)
         rho = random_state(rng, 3).density()
-        spec = NoiseSpec(white_noise_v=0.6, pair_dephasing_d=0.2, epr_visibility=0.9)
-        out = apply_channel(rho, spec, interfering_pairs=[(0, 1), (1, 2)])
+        spec = NoiseSpec(white_noise_v=0.6, pair_dephasing_d=0.2, epr_visibility=0.9,
+                         pairs=[(0, 1), (1, 2)])
+        out = apply_channel(rho, spec)
         assert abs(np.trace(out.matrix) - 1) < 1e-10
         assert out.min_eigenvalue() > -1e-9
+
+    def test_spec_pairs_are_int_tuples(self):
+        spec = NoiseSpec(pair_dephasing_d=0.1, pairs=[[0, 1], (np.int64(2), 3)])
+        assert spec.pairs == ((0, 1), (2, 3))
+        assert all(type(q) is int for pair in spec.pairs for q in pair)
+        assert spec == NoiseSpec(pair_dephasing_d=0.1, pairs=((0, 1), (2, 3)))
+        assert hash(spec) == hash(NoiseSpec(pair_dephasing_d=0.1, pairs=((0, 1), (2, 3))))
+        with pytest.raises(ValueError, match=r"invalid interfering pair \(2, 2\)"):
+            NoiseSpec(pairs=[(0, 1), (2, 2)])
+        with pytest.raises(TypeError):   # a qubit index is an integer, never truncated
+            NoiseSpec(pairs=[(0, 1.5)])
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             NoiseSpec(white_noise_v=1.2)
         rho = DensityMatrix.maximally_mixed(2)
         with pytest.raises(ValueError):
-            apply_channel(rho, NoiseSpec(), interfering_pairs=[(0, 3)])
+            apply_channel(rho, NoiseSpec(pairs=[(0, 3)]))
 
 
 class TestSeed:

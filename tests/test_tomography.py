@@ -207,7 +207,7 @@ def noisy_case(name):
     """The state of ``name``, its noisy density matrix and its grouped settings."""
     psi = GREEDY_CASES[name]()
     chain = [(q, q + 1) for q in range(psi.n_qubits - 1)]
-    rho = apply_channel(psi.density(), NoiseSpec(0.9, 0.04, 0.93), interfering_pairs=chain)
+    rho = apply_channel(psi.density(), NoiseSpec(0.9, 0.04, 0.93, pairs=chain))
     return psi, rho, group_settings(decompose_projector(psi))
 
 
