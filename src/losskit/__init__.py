@@ -32,18 +32,12 @@ from .recovery import (
     recovery_sweep,
 )
 from .cluster import (
-    Graph,
     MeasurementPattern,
     OneWayResult,
     PatternStep,
-    graph_cluster_state,
-    graph_xx_contract,
-    graph_z_remove,
-    indirect_z,
     loss_tolerant_rotation,
     pattern_branches,
     phi5,
-    phi5_graph,
     rotation_sweep,
     rotation_target,
     run_pattern,
@@ -64,7 +58,6 @@ __all__ = [
     "CodeParams",
     "CountsTable",
     "DensityMatrix",
-    "Graph",
     "LogicalInput",
     "LossPattern",
     "MeasurementPattern",
@@ -89,18 +82,13 @@ __all__ = [
     "execute_recovery",
     "expectation",
     "fidelity_pure",
-    "graph_cluster_state",
-    "graph_xx_contract",
-    "graph_z_remove",
     "group_settings",
-    "indirect_z",
     "logical_basis",
     "loss_tolerant_rotation",
     "measure",
     "partial_trace",
     "pattern_branches",
     "phi5",
-    "phi5_graph",
     "plan_recovery",
     "post_loss_state",
     "recoverable",

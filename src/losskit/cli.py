@@ -198,6 +198,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "oneway":
         if not cfg.alphas:
             raise ConfigError("alphas", "expected at least one angle")
+        if len(set(cfg.alphas)) != len(cfg.alphas):
+            raise ConfigError("alphas", f"expected distinct angles, got {cfg.alphas}")
         expected = "/".join(sorted(LOSS_CASES))
         cases = _oneway_cases(cfg)
         if not cases:

@@ -203,17 +203,6 @@ class DensityMatrix:
         object.__setattr__(rho, "matrix", mat)
         return rho
 
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
-        dim = 2 ** n_qubits
-        return cls(n_qubits, np.eye(dim, dtype=complex) / dim)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 State = Union[StateVector, DensityMatrix]
 

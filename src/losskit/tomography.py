@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import product
 from operator import or_
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -103,13 +103,6 @@ class PauliDecomposition:
     def _families(self) -> tuple[_Family, ...]:
         """The coherence families, found once for grouping and estimation."""
         return _coherence_families(self)
-
-    def reconstruct(self) -> np.ndarray:
-        dim = 2 ** self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        for coeff, pauli in self.terms:
-            out += coeff * pauli.matrix()
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -415,16 +408,10 @@ def setting_probabilities(rho: DensityMatrix, setting: Setting) -> np.ndarray:
 
 
 def simulate_counts(rho: DensityMatrix, setting: Setting, shots: int,
-                    seed: Union[Seed, np.random.Generator, int]) -> CountsTable:
+                    rng: np.random.Generator) -> CountsTable:
     """Multinomially sampled coincidence histogram for one setting."""
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}]")
-    if isinstance(seed, Seed):
-        rng = seed.stream(0)
-    elif isinstance(seed, (int, np.integer)):
-        rng = Seed(int(seed)).stream(0)
-    else:
-        rng = seed
     probs = setting_probabilities(rho, setting)
     counts = rng.multinomial(shots, probs)
     return CountsTable(setting, shots, counts)

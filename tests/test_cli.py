@@ -112,6 +112,9 @@ class TestConfigParsing:
         ("encode", "inputs = ,\n", "inputs"),
         ("recover", "inputs = ,\n", "inputs"),
         ("oneway", "alphas = ,\n", "alphas"),
+        ("oneway", "lost = photon2\nalphas = 0, 0\n", "alphas"),   # each row would print twice
+        ("oneway", "alphas = -pi/2, 0.3, -pi/2\n", "alphas"),
+        ("oneway", "alphas = 0, -0\n", "alphas"),   # the same rotation
         ("oneway", "lost = ,\n", "lost"),
         ("oneway", "lost = photon2,photon2\n", "lost"),   # each row would print twice
         ("recover", "code_m = 1\n", "code_m"),   # no single-block code survives a loss

@@ -36,6 +36,11 @@ def random_state(rng, n):
     return StateVector.from_amplitudes(amps, normalize=True)
 
 
+def reconstruct(decomp):
+    """The operator sum of ``decomp``'s terms."""
+    return sum(coeff * pauli.matrix() for coeff, pauli in decomp.terms)
+
+
 def random_full_rank(rng, n):
     g = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
     m = g @ g.conj().T
@@ -75,7 +80,7 @@ class TestDecomposeProjector:
         for n in (1, 2, 3, 4, 5):
             for _ in (0, 1):
                 psi = random_state(rng, n)
-                rec = decompose_projector(psi).reconstruct()
+                rec = reconstruct(decompose_projector(psi))
                 np.testing.assert_allclose(
                     rec, np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-10)
 
@@ -310,7 +315,7 @@ class TestSimulateCounts:
         setting = Setting(("Z", "X", "Y", "M45", "M135"))
         probs = setting_probabilities(rho, setting)
         shots = 10 ** 6
-        table = simulate_counts(rho, setting, shots, Seed(5))
+        table = simulate_counts(rho, setting, shots, Seed(5).stream(0))
         for outcome, p in enumerate(probs):
             sigma = math.sqrt(max(p * (1 - p) * shots, 1.0))
             assert abs(table.counts[outcome] - p * shots) < 5 * sigma
@@ -318,8 +323,8 @@ class TestSimulateCounts:
     def test_deterministic_for_fixed_seed(self):
         rho = encode(PRESETS["R"], P22).density()
         setting = Setting(("X", "X", "Y", "Y"))
-        a = simulate_counts(rho, setting, 1000, Seed(9))
-        b = simulate_counts(rho, setting, 1000, Seed(9))
+        a = simulate_counts(rho, setting, 1000, Seed(9).stream(0))
+        b = simulate_counts(rho, setting, 1000, Seed(9).stream(0))
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_counts_sum_validation(self):
@@ -379,7 +384,7 @@ class TestEstimateFidelity:
 
     def test_maximally_mixed(self):
         decomp = decompose_projector(phi5())
-        tables = self.tables_for(DensityMatrix.maximally_mixed(5), decomp)
+        tables = self.tables_for(DensityMatrix(5, np.eye(32) / 32), decomp)
         fid, _ = estimate_fidelity(tables, decomp)
         assert abs(fid - 1 / 32) < 1e-10
 
