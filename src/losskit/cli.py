@@ -7,7 +7,8 @@ CSV output starts with ``#``-prefixed lines echoing the fully resolved
 configuration, so every file is self-describing; the data section uses
 RFC-4180 quoting.  Identical config plus seed yields byte-identical output.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
+``qsim.NumericalError``); any other exception leaves with its traceback.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from pathlib import Path
 from typing import Sequence
 
 import click
-import numpy as np
 
 from . import __version__
 from .codes import MAX_TOTAL_QUBITS, CodeParams, PRESETS, encode, lab_pairs
 from .cluster import LOSS_CASES, PHI5_PAIRS, loss_case_pattern, phi5, rotation_sweep
-from .qsim import NoiseSpec, apply_channel
+from .qsim import NoiseSpec, NumericalError, apply_channel
 from .recovery import loss_average, recovery_sweep, shot_sigma
 from .tomography import MAX_DECOMP_QUBITS, MAX_SHOTS, sampled_fidelity
 
@@ -198,8 +198,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "oneway":
         if not cfg.alphas:
             raise ConfigError("alphas", "expected at least one angle")
-        if len(set(cfg.alphas)) != len(cfg.alphas):
-            raise ConfigError("alphas", f"expected distinct angles, got {cfg.alphas}")
+        # CSV and JSON print 9 decimals; + 0.0 turns -0 into 0, the same rotation
+        if len({_fmt_number(a + 0.0) for a in cfg.alphas}) != len(cfg.alphas):
+            raise ConfigError("alphas", f"expected distinct angles to 9 places, got {cfg.alphas}")
         expected = "/".join(sorted(LOSS_CASES))
         cases = _oneway_cases(cfg)
         if not cases:
@@ -383,9 +384,7 @@ def _execute(experiment: str, config_path: str, **overrides) -> None:
     validate_config(cfg)
     try:
         rows = RUNNERS[experiment](cfg)
-    except click.ClickException:
-        raise
-    except (FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
+    except NumericalError as exc:
         raise NumericalFailure(str(exc)) from exc
     text = render_output(cfg, rows)
     if cfg.out:

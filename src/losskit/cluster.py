@@ -22,7 +22,9 @@ import numpy as np
 from .qsim import (
     HADAMARD,
     DensityMatrix,
+    LossState,
     NoiseSpec,
+    NumericalError,
     StateVector,
     ZeroProbabilityBranch,
     fidelity_pure,
@@ -106,7 +108,7 @@ def _parity(outcomes: dict, sources: tuple) -> int:
     return bit
 
 
-def run_pattern(state: DensityMatrix, pattern: MeasurementPattern,
+def run_pattern(state: DensityMatrix | LossState, pattern: MeasurementPattern,
                 labels: Sequence[Vertex], *,
                 forced: Sequence[int] | None = None,
                 rng: np.random.Generator | None = None,
@@ -153,6 +155,8 @@ def run_pattern(state: DensityMatrix, pattern: MeasurementPattern,
         outcomes[step.qubit] = out ^ flip
         probability *= p
 
+    if isinstance(state, LossState):   # the pattern had no X or B(alpha) step
+        state = state.density()
     if len(current) > 1:
         out_idx = current.index(pattern.output)
         state = partial_trace(state, [q for q in range(len(current)) if q != out_idx])
@@ -175,7 +179,7 @@ def run_pattern(state: DensityMatrix, pattern: MeasurementPattern,
     return OneWayResult(outcomes, state, byproduct or "I", probability, target, fid)
 
 
-def pattern_branches(state: DensityMatrix, pattern: MeasurementPattern,
+def pattern_branches(state: DensityMatrix | LossState, pattern: MeasurementPattern,
                      labels: Sequence[Vertex], *,
                      target: StateVector | None = None,
                      forced: Sequence[int] | None = None,
@@ -185,26 +189,26 @@ def pattern_branches(state: DensityMatrix, pattern: MeasurementPattern,
     Branches run in ascending bit order, each from ``state``; one whose
     forced outcome has zero probability is skipped, and the kept
     probabilities must sum to 1.  With ``forced`` only that branch runs, and
-    a zero probability raises :class:`ZeroProbabilityBranch` naming
-    ``where`` and the bits.
+    a zero probability raises :class:`ZeroProbabilityBranch`.  Any
+    :class:`NumericalError` that a branch raises names ``where`` and the bits.
     """
-    if forced is not None:
-        bits = tuple(forced)
+    def run(bits: tuple[int, ...]) -> OneWayResult:
         try:
-            return [(bits, run_pattern(state, pattern, labels, forced=bits, target=target))]
-        except ZeroProbabilityBranch as exc:
-            raise ZeroProbabilityBranch(
-                f"{where}, branch {''.join(map(str, bits))}: {exc}") from None
+            return run_pattern(state, pattern, labels, forced=bits, target=target)
+        except NumericalError as exc:
+            raise type(exc)(f"{where}, branch {''.join(map(str, bits))}: {exc}") from None
+
+    if forced is not None:
+        return [(tuple(forced), run(tuple(forced)))]
     branches = []
     for bits in product((0, 1), repeat=len(pattern.steps)):
         try:
-            branches.append((bits, run_pattern(state, pattern, labels, forced=bits,
-                                               target=target)))
+            branches.append((bits, run(bits)))
         except ZeroProbabilityBranch:
             continue
     total = sum(result.probability for _, result in branches)
     if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"{where}: branch probabilities sum to {total:.12g}, not 1")
+        raise NumericalError(f"{where}: branch probabilities sum to {total:.12g}, not 1")
     return branches
 
 

@@ -22,15 +22,16 @@ Density matrices returned by this module's operations (``density``,
 ``post_loss_state``) are Hermitian by construction; they skip the copy and
 the O(d^2) Hermiticity check and keep only the O(d) trace check.
 
-A detected loss is prepared from the amplitudes.  ``post_loss_state`` forms
-the survivors' 2^s x 2^s state as A A^dagger, with A the amplitudes arranged
-as survivors x lost qubits, and never the full 2^n x 2^n matrix.  The noise
-channel maps through the loss exactly: white noise of weight 1-v stays white
-noise on the survivors, and each Z-type term (pair dephasing, pair-source
-visibility) keeps its weight and drops its lost qubits from its Z-support,
-since Tr_L[Z rho Z] = Z' Tr_L[rho] Z'; a term left with no support drops
-out.  Every Z-type term scales entry (r, c) by a factor of r ^ c alone, so
-the whole channel is one elementwise pass over the matrix.
+A detected loss is held in amplitude form, as a ``LossState``
+D = v (F o A A^dagger) + u I: A is the amplitudes as survivors x lost
+qubits, u = (1-v)/2^s is the white noise on the s survivors, and F is the
+elementwise factor of the Z-type terms (pair dephasing, pair-source
+visibility), each of which keeps its weight and drops its lost qubits,
+since Tr_L[Z rho Z] = Z' Tr_L[rho] Z' (a term left with no support drops
+out).  A term scales entry (r, c) by a factor of r ^ c alone, and the
+entries a Z projection keeps agree on the measured bit, so a Z outcome keeps
+the rows of A that read it, cuts that bit from each mask and divides v and
+u by its probability; only an X or B(alpha) outcome forms the matrix.
 
 The two hot kernels work on basis indices rather than tensor axes:
 
@@ -166,10 +167,14 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+class NumericalError(ValueError):
+    """A zero-probability branch, a trace or probability sum off 1, or a complex expectation."""
+
+
 def _check_trace(mat: np.ndarray) -> None:
     tr = complex(mat.trace())
     if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"density matrix has trace {tr}, expected 1")
+        raise NumericalError(f"density matrix has trace {tr}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -401,13 +406,13 @@ def partial_trace(rho: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
     return DensityMatrix._trusted(cur, t.reshape(dim, dim))
 
 
-class ZeroProbabilityBranch(ValueError):
+class ZeroProbabilityBranch(NumericalError):
     """A forced measurement outcome has (numerically) zero probability."""
 
 
 class MeasurementResult(NamedTuple):
     outcome: int
-    state: DensityMatrix
+    state: DensityMatrix | LossState
     probability: float
 
 
@@ -468,14 +473,15 @@ def _kept_blocks(rho: DensityMatrix, qubit: int, basis: str, alpha: float | None
     return weight, [(block, weight * float(block.trace().real)) for block in blocks]
 
 
-def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
+def measure(rho: DensityMatrix | LossState, qubit: int, basis: str = "z", *,
             alpha: float | None = None, forced: int | None = None,
             rng: np.random.Generator | None = None) -> MeasurementResult:
     """Projectively measure one qubit and remove it from the state.
 
     The outcome is drawn from ``rng`` unless ``forced`` selects a branch
     explicitly; forcing a branch of (numerically) zero probability raises.
-    Outcome 0 corresponds to the first basis vector.
+    Outcome 0 corresponds to the first basis vector.  A ``LossState`` stays
+    factored through a Z outcome; an X or B(alpha) outcome forms its matrix.
     """
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {rho.n_qubits} qubits")
@@ -484,21 +490,28 @@ def measure(rho: DensityMatrix, qubit: int, basis: str = "z", *,
         raise ValueError(f"unknown basis {basis!r}")
     if name == "b" and alpha is None:
         raise ValueError("B(alpha) basis requires alpha")
+    if forced is not None and forced not in (0, 1):
+        raise ValueError("forced outcome must be 0 or 1")
+    if forced is None and rng is None:
+        raise ValueError("measure needs either an rng or a forced outcome")
+    outcomes = (0, 1) if forced is None else (forced,)
+    if isinstance(rho, LossState) and name != "z":
+        rho = rho.density()
+    factored = isinstance(rho, LossState)
+    weight, kept = ((1.0, [rho._z_rows(qubit, o) for o in outcomes]) if factored
+                    else _kept_blocks(rho, qubit, name, alpha, outcomes))
     if forced is not None:
-        if forced not in (0, 1):
-            raise ValueError("forced outcome must be 0 or 1")
-        outcome = forced
-        weight, ((mat, prob),) = _kept_blocks(rho, qubit, name, alpha, (forced,))
+        outcome, ((mat, prob),) = forced, kept
         if prob < _ZERO_PROB:
             raise ZeroProbabilityBranch(
                 f"forced outcome {forced} has zero probability ({prob:.3e})"
             )
     else:
-        if rng is None:
-            raise ValueError("measure needs either an rng or a forced outcome")
-        weight, ((m0, p0), (m1, p1)) = _kept_blocks(rho, qubit, name, alpha, (0, 1))
+        (m0, p0), (m1, p1) = kept
         outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
         mat, prob = (m0, m1)[outcome], (p0, p1)[outcome]
+    if factored:
+        return MeasurementResult(outcome, rho._without(qubit, mat, prob), prob)
     # One real multiply of the float64 view.  numpy divides by a complex
     # with zero imaginary part as (re + im * 0) * (1 / prob), so this gives
     # the bits of ``weight * block / prob`` up to the sign of a zero.  The
@@ -546,7 +559,7 @@ def expectation(state: State, obs: PauliString) -> float:
         terms = state.matrix[idx, flipped]        # rho[c, c ^ x]
         val = obs.phase * i_power * np.dot(terms, signs[idx & z])
     if abs(val.imag) > 1e-8:
-        raise ValueError(f"expectation of non-Hermitian observable (got {val})")
+        raise NumericalError(f"expectation of non-Hermitian observable (got {val})")
     return float(val.real)
 
 
@@ -585,8 +598,9 @@ def _z_masks(spec: NoiseSpec, n: int, kept: Sequence[int]) -> list[tuple[float, 
 _MIX_CHUNK = 1 << 15   # matrix entries per row chunk of the Z-mixing gather
 
 
-def _add_noise(mat: np.ndarray, n: int, v: float, masks: Sequence[tuple[float, int]]) -> None:
-    """In place: every Z-type mixing term, then white noise of weight 1 - v.
+def _add_noise(mat: np.ndarray, n: int, v: float, u: float,
+               masks: Sequence[tuple[float, int]]) -> None:
+    """In place: scale by v and every Z-type mixing term, then add u times the identity.
 
     A term (w, z) maps rho -> (1-w) rho + w Z rho Z with Z on the qubits of
     mask z, which scales entry (r, c) by (1-w) + w (-1)^popcount((r ^ c) & z).
@@ -601,10 +615,10 @@ def _add_noise(mat: np.ndarray, n: int, v: float, masks: Sequence[tuple[float, i
         rows = max(1, _MIX_CHUNK >> n)
         for a in range(0, 2 ** n, rows):
             mat[a:a + rows] *= f[idx[a:a + rows, None] ^ idx]
-    elif v < 1.0:
+    elif v != 1.0:
         mat *= v
-    if v < 1.0:
-        mat[idx, idx] += (1.0 - v) / 2 ** n
+    if u:
+        mat[idx, idx] += u
 
 
 def apply_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
@@ -622,8 +636,59 @@ def apply_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
     if spec.is_noiseless():
         return rho
     mat = rho.matrix.copy()   # C order, whatever the layout of rho.matrix
-    _add_noise(mat, n, spec.white_noise_v, masks)
+    v = spec.white_noise_v
+    _add_noise(mat, n, v, (1.0 - v) / 2 ** n, masks)
     return DensityMatrix._trusted(n, mat)
+
+
+@dataclass(frozen=True)
+class LossState:
+    """A detected-loss state D = v (F o A A^dagger) + u I (see the module docstring).
+
+    ``amplitudes`` is A, survivors x lost qubits, and F[r, c] is the product
+    over the Z-type ``masks`` (w, z) of (1-w) + w (-1)^popcount((r ^ c) & z).
+    """
+
+    n_qubits: int
+    amplitudes: np.ndarray
+    v: float
+    u: float
+    masks: tuple[tuple[float, int], ...]
+
+    @classmethod
+    def after_loss(cls, psi: StateVector, lost: Iterable[int],
+                   spec: NoiseSpec | None = None) -> "LossState":
+        """``psi`` prepared with noise ``spec``, once the qubits ``lost`` are lost."""
+        n = psi.n_qubits
+        lost = sorted(set(lost))
+        for q in lost:
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range for {n} qubits")
+        if len(lost) == n:
+            raise ValueError("cannot discard every qubit")
+        spec = spec if spec is not None else NoiseSpec()
+        survivors = [q for q in range(n) if q not in lost]
+        s, v = len(survivors), spec.white_noise_v
+        a = psi.amplitudes.reshape((2,) * n).transpose(survivors + lost).reshape(2 ** s, -1)
+        return cls(s, a, v, (1.0 - v) / 2 ** s, tuple(_z_masks(spec, n, survivors)))
+
+    def density(self) -> DensityMatrix:
+        mat = self.amplitudes @ self.amplitudes.conj().T
+        _add_noise(mat, self.n_qubits, self.v, self.u, self.masks)
+        return DensityMatrix._trusted(self.n_qubits, mat)
+
+    def _z_rows(self, qubit: int, outcome: int) -> tuple[np.ndarray, float]:
+        """The rows of A where ``qubit`` reads ``outcome``, and that outcome's probability."""
+        half = 2 ** (self.n_qubits - 1)
+        a = self.amplitudes.reshape(2 ** qubit, 2, -1)[:, outcome].reshape(half, -1)
+        return a, self.v * float(np.vdot(a, a).real) + self.u * half
+
+    def _without(self, qubit: int, rows: np.ndarray, prob: float) -> "LossState":
+        """The state on ``rows`` over ``prob``, with ``qubit``'s bit cut out of each mask."""
+        b = self.n_qubits - 1 - qubit
+        cut = ((w, (z >> (b + 1) << b) | (z & ((1 << b) - 1))) for w, z in self.masks)
+        return LossState(self.n_qubits - 1, rows, self.v / prob, self.u / prob,
+                         tuple((w, z) for w, z in cut if z))
 
 
 def post_loss_state(psi: StateVector, lost: Iterable[int],
@@ -631,28 +696,6 @@ def post_loss_state(psi: StateVector, lost: Iterable[int],
     """The survivors' state after ``psi`` is prepared with noise ``spec`` and ``lost`` is lost.
 
     Equal to ``partial_trace(apply_channel(psi.density(), spec), lost)``
-    (survivors keep their relative order), but never forms the 2^n x 2^n
-    matrix.  With the amplitudes arranged as a matrix A whose rows index the
-    survivors and whose columns index the lost qubits, Tr_L |psi><psi| =
-    A A^dagger.  The channel maps through the
-    trace term by term: white noise stays white noise on the survivors, and
-    since Tr_L[Z rho Z] = Z' Tr_L[rho] Z' with Z' the survivors' part of Z,
-    a Z-type term keeps its weight and loses its lost qubits, and drops out
-    when none of its support survives.
+    (survivors keep their relative order), without the 2^n x 2^n matrix.
     """
-    n = psi.n_qubits
-    lost = sorted(set(lost))
-    for q in lost:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    if len(lost) == n:
-        raise ValueError("cannot discard every qubit")
-    spec = spec if spec is not None else NoiseSpec()
-    survivors = [q for q in range(n) if q not in lost]
-    masks = _z_masks(spec, n, survivors)
-    s = len(survivors)
-    a = psi.amplitudes.reshape((2,) * n).transpose(survivors + lost).reshape(2 ** s, -1)
-    mat = a @ a.conj().T
-    if not spec.is_noiseless():
-        _add_noise(mat, s, spec.white_noise_v, masks)
-    return DensityMatrix._trusted(s, mat)
+    return LossState.after_loss(psi, lost, spec).density()

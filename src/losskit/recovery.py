@@ -1,9 +1,12 @@
 """Detected-loss erasure, recoverability, and feedforward recovery plans.
 
 A detected loss is modeled as a partial trace: the position is known, the
-polarization is not.  ``recovery_sweep`` builds each post-loss state with
-``qsim.post_loss_state``, straight from the codeword's amplitudes and the
-noise spec, so it never forms the full 2^n x 2^n density matrix; ``erase``
+polarization is not.  ``recovery_sweep`` holds each post-loss state as a
+``qsim.LossState`` D = v (F o A A^dagger) + u I, with A the codeword's
+amplitudes as survivors x lost qubits and F the Z-type noise terms.  The Z
+steps keep that form: F scales entry (r, c) by a factor of r ^ c alone, so
+a Z projection keeps rows of A and leaves the noise on them as it was.  The
+first X step forms the only matrix, 2^n x 2^n on the target block; ``erase``
 traces the lost qubits out of a density matrix that a caller already holds.
 
 A recovery plan is a ``cluster.MeasurementPattern`` on the survivors, so it
@@ -38,7 +41,7 @@ import numpy as np
 from .cluster import (BranchRow, MeasurementPattern, OneWayResult, PatternStep, pattern_branches,
                       run_pattern)
 from .codes import CodeParams, LogicalInput, encode
-from .qsim import DensityMatrix, NoiseSpec, partial_trace, post_loss_state
+from .qsim import DensityMatrix, LossState, NoiseSpec, partial_trace
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ def recovery_sweep(inputs: Sequence[LogicalInput], params: CodeParams,
         for lost_q in loss_positions:
             loss = LossPattern({lost_q})
             plan = plan_recovery(params, loss)
-            reduced = post_loss_state(psi, loss.lost, noise)
+            reduced = LossState.after_loss(psi, loss.lost, noise)
             branches = pattern_branches(reduced, plan, _survivors(plan), target=target,
                                         forced=forced, where=f"input {name}, lost qubit {lost_q}")
             rows.extend(BranchRow(name, str(lost_q), None, "".join(map(str, bits)),

@@ -115,6 +115,8 @@ class TestConfigParsing:
         ("oneway", "lost = photon2\nalphas = 0, 0\n", "alphas"),   # each row would print twice
         ("oneway", "alphas = -pi/2, 0.3, -pi/2\n", "alphas"),
         ("oneway", "alphas = 0, -0\n", "alphas"),   # the same rotation
+        # both print as 1.047197551: CSV and JSON show 9 decimals
+        ("oneway", "lost = photon2\nalphas = 1.0471975511965976, 1.0471975511965979\n", "alphas"),
         ("oneway", "lost = ,\n", "lost"),
         ("oneway", "lost = photon2,photon2\n", "lost"),   # each row would print twice
         ("recover", "code_m = 1\n", "code_m"),   # no single-block code survives a loss
@@ -487,6 +489,18 @@ class TestOutputContracts:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "encode,PLUS" in proc.stdout
+
+    def test_a_shape_error_is_not_a_numerical_failure(self, tmp_path):
+        # a broadcast bug in a runner's call path is a program error: it
+        # leaves with its traceback, not as exit 3
+        cfg = write_cfg(tmp_path, "o.cfg", "lost = photon2\nalphas = 0\nshots = 10\n")
+        code = ("import sys, numpy as np; from losskit import cli, cluster; "
+                "cluster.fidelity_pure = lambda psi, rho: float(np.ones(2) @ np.ones(3)); "
+                "cli.main(['oneway', '--config', sys.argv[1]])")
+        proc = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True, text=True)
+        assert proc.returncode not in (0, 3), proc.stderr
+        assert "Traceback" in proc.stderr
+        assert "ValueError: matmul" in proc.stderr
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         # branch probabilities that do not sum to 1 are a numerical failure

@@ -28,14 +28,15 @@ from the package.
 import math
 from itertools import product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from losskit.cluster import rotation_sweep
-from losskit.codes import CodeParams, LogicalInput
+from losskit.codes import CodeParams, LogicalInput, lab_pairs
 from losskit.qsim import NoiseSpec
 from losskit.recovery import recovery_sweep
 
 TOL = 1e-12
+CAP = CodeParams(2, 6)   # the 12-qubit cap
 # (readout, rotation, redundant) photons of each loss case; photon k is qubit k - 1
 ONEWAY_REGIONS = {"photon2": (1, 4, 5), "photon4": (1, 2, 3)}
 
@@ -124,6 +125,10 @@ def recover_cases(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(recover_cases())
+# the cap, every one of its 12 losses: 12 x 1024 rows under the lab's pairs
+@example((CAP, LogicalInput.normalized(math.cos(0.5), complex(math.cos(0.7), math.sin(0.7))
+                                       * math.sin(0.5), "in"),
+          NoiseSpec(0.9, 0.05, 0.95, lab_pairs(CAP, "R")), list(range(CAP.total))))
 def test_recovery_sweep_rows_follow_the_closed_form(case):
     params, inp, spec, losses = case
     got = recovery_sweep([inp], params, spec, losses=losses)

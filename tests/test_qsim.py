@@ -22,6 +22,7 @@ from losskit.qsim import (
     PAULI_Y,
     PAULI_Z,
     DensityMatrix,
+    LossState,
     NoiseSpec,
     PauliString,
     Seed,
@@ -584,6 +585,118 @@ class TestPostLossState:
             post_loss_state(psi, [-1])
         with pytest.raises(ValueError, match="cannot discard every qubit"):
             post_loss_state(psi, [0, 1, 2])
+
+
+@st.composite
+def loss_cases(draw, v=None):
+    """(psi, lost, spec): n <= 8 qubits, one or two lost, and the whole noise model.
+
+    The pairs are random non-self pairs over all n qubits, so a term may lose
+    none, one or both members.  ``v`` fixes the white-noise weight.
+    """
+    n = draw(st.integers(2, 8))
+    psi = random_state(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n)
+    lost = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(2, n - 1),
+                         unique=True))
+    qubit = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(qubit, qubit).filter(lambda p: p[0] != p[1]),
+                          max_size=2 * n))
+    v = draw(st.floats(0, 1)) if v is None else v
+    return psi, lost, NoiseSpec(v, draw(st.floats(0, 1)), draw(st.floats(0, 1)), pairs=pairs)
+
+
+def assert_same_result(got, ref):
+    """A factored and a dense ``MeasurementResult`` agree: outcome exactly, the rest to 1e-12."""
+    assert got.outcome == ref.outcome
+    assert abs(got.probability - ref.probability) <= 1e-12
+    mat = got.state.density().matrix if isinstance(got.state, LossState) else got.state.matrix
+    assert mat.shape == ref.state.matrix.shape
+    assert np.max(np.abs(mat - ref.state.matrix)) <= 1e-12
+
+
+class TestLossState:
+    """``LossState`` keeps D = v (F o A A^dagger) + u I through Z outcomes; ``measure`` on
+    its ``density()`` is the reference at every step."""
+
+    @INVARIANTS
+    @given(loss_cases())
+    def test_density_matches_trace_of_full_noisy_matrix(self, case):
+        psi, lost, spec = case
+        out = LossState.after_loss(psi, lost, spec).density()
+        ref = reference_post_loss(psi, lost, spec)
+        assert out.n_qubits == ref.n_qubits
+        assert np.max(np.abs(out.matrix - ref.matrix)) <= 1e-12
+        assert np.array_equal(out.matrix, post_loss_state(psi, lost, spec).matrix)
+
+    @INVARIANTS
+    @given(loss_cases(), st.data())
+    def test_z_outcomes_then_an_x_or_b_step_match_the_dense_path(self, case, data):
+        state = LossState.after_loss(*case)
+        for _ in range(data.draw(st.integers(0, state.n_qubits - 1))):
+            rho = state.density()
+            qubit = data.draw(st.integers(0, state.n_qubits - 1))
+            seed = data.draw(st.integers(0, 2 ** 32 - 1))
+            drawn = measure(state, qubit, rng=np.random.default_rng(seed))
+            assert isinstance(drawn.state, LossState)
+            assert_same_result(drawn, measure(rho, qubit, rng=np.random.default_rng(seed)))
+            forced = data.draw(st.sampled_from([0, 1]))
+            result = measure(state, qubit, forced=forced)
+            assert isinstance(result.state, LossState)
+            assert_same_result(result, measure(rho, qubit, forced=forced))
+            state = result.state
+        rho = state.density()
+        qubit = data.draw(st.integers(0, state.n_qubits - 1))
+        basis = data.draw(st.sampled_from(["x", "b"]))
+        alpha = data.draw(st.floats(-4, 4)) if basis == "b" else None
+        for forced in (0, 1):
+            result = measure(state, qubit, basis, alpha=alpha, forced=forced)
+            assert isinstance(result.state, DensityMatrix)
+            assert_same_result(result, measure(rho, qubit, basis, alpha=alpha, forced=forced))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        assert_same_result(*(measure(x, qubit, basis, alpha=alpha, rng=np.random.default_rng(seed))
+                             for x in (state, rho)))
+
+    @INVARIANTS
+    @given(loss_cases(v=1.0), st.data())
+    def test_zero_probability_z_outcome_raises_the_dense_text(self, case, data):
+        # a basis state under Z-type noise alone: every survivor's Z outcome is certain
+        n, lost, spec = case[0].n_qubits, case[1], case[2]
+        index = data.draw(st.integers(0, 2 ** n - 1))
+        state = LossState.after_loss(StateVector.basis_state(n, index), lost, spec)
+        qubit = data.draw(st.integers(0, state.n_qubits - 1))
+        survivor = [q for q in range(n) if q not in lost][qubit]
+        impossible = 1 - (index >> (n - 1 - survivor) & 1)
+        with pytest.raises(ZeroProbabilityBranch) as dense:
+            measure(state.density(), qubit, forced=impossible)
+        with pytest.raises(ZeroProbabilityBranch) as factored:
+            measure(state, qubit, forced=impossible)
+        assert str(factored.value) == str(dense.value)
+        assert measure(state, qubit, forced=1 - impossible).probability == 1.0
+
+    def test_a_pattern_of_z_steps_only_ends_on_the_matrix(self):
+        # no X step forms the matrix, so run_pattern forms it before the partial trace
+        psi = random_state(np.random.default_rng(63), 5)
+        spec = NoiseSpec(0.8, 0.1, 0.9, pairs=[(0, 2), (3, 4)])
+        state = LossState.after_loss(psi, [1], spec)
+        pattern = MeasurementPattern(steps=(PatternStep(0, "z"), PatternStep(3, "z")), output=4)
+        got = pattern_branches(state, pattern, (0, 2, 3, 4))
+        ref = pattern_branches(state.density(), pattern, (0, 2, 3, 4))
+        assert [bits for bits, _ in got] == [bits for bits, _ in ref]
+        assert len(got) == 4
+        for (_, g), (_, r) in zip(got, ref):
+            assert abs(g.probability - r.probability) <= 1e-12
+            assert np.max(np.abs(g.output_state.matrix - r.output_state.matrix)) <= 1e-12
+
+    def test_checks_run_before_the_matrix_is_formed(self, monkeypatch):
+        state = LossState.after_loss(random_state(np.random.default_rng(62), 4), [1])
+        monkeypatch.setattr(LossState, "density", None)   # any call would fail
+        for kwargs, message in (({"qubit": 3, "forced": 0}, "out of range"),
+                                ({"qubit": 0, "basis": "y", "forced": 0}, "unknown basis"),
+                                ({"qubit": 0, "basis": "b", "forced": 0}, "requires alpha"),
+                                ({"qubit": 0, "basis": "x", "forced": 2}, "0 or 1"),
+                                ({"qubit": 0, "basis": "x"}, "rng or a forced")):
+            with pytest.raises(ValueError, match=message):
+                measure(state, **kwargs)
 
 
 class TestForcedBranches:
