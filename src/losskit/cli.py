@@ -85,6 +85,8 @@ def _parse_angle(token: str, key: str) -> float:
     text = text[1:] if text.startswith(("-", "+")) else text
     left, pi, right = text.partition("pi")
     try:
+        if text.startswith(("-", "+")):   # at most one leading sign
+            raise ValueError
         value = float(left) if left or not pi else 1.0
         if pi:
             if right.startswith("/"):

@@ -7,7 +7,8 @@ rotation protocol measures in lab bases throughout and targets
 
     target(alpha) = (|0> + e^{-i alpha}|1>)/sqrt2,
 
-so alpha in {0, -pi/2, -pi/3} produces |+>, |R>, |S>.  ``rotation_sweep`` and
+so alpha in {0, -pi/2, -pi/3} produces |+>, |R>, |S>.  ``run_pattern`` runs
+the one branch its ``forced`` outcome bits name; ``rotation_sweep`` and
 ``recovery.recovery_sweep`` both return a ``BranchRow`` per nonzero branch.
 """
 
@@ -109,16 +110,14 @@ def _parity(outcomes: dict, sources: tuple) -> int:
 
 
 def run_pattern(state: DensityMatrix | LossState, pattern: MeasurementPattern,
-                labels: Sequence[Vertex], *,
-                forced: Sequence[int] | None = None,
-                rng: np.random.Generator | None = None,
+                labels: Sequence[Vertex], *, forced: Sequence[int],
                 target: StateVector | None = None) -> OneWayResult:
-    """Execute an adaptive measurement pattern on a labeled state.
+    """Run one branch of an adaptive measurement pattern on a labeled state.
 
     ``labels`` gives the vertex label of each qubit in order.  ``forced``
-    selects outcome bits in step order.  Pre-corrections X^x Z^z derived from
-    earlier outcomes act before each measurement; the output qubit receives
-    its byproduct frame and then the output gate at the end.  The result's
+    gives the branch's outcome bits in step order.  Pre-corrections X^x Z^z
+    derived from earlier outcomes act before each measurement; the output
+    qubit receives its byproduct frame and then the output gate at the end.  The result's
     ``byproduct`` names the applied word, leftmost applied last (``HXZ``: Z,
     then X, then H).
     """
@@ -130,7 +129,7 @@ def run_pattern(state: DensityMatrix | LossState, pattern: MeasurementPattern,
             raise ValueError(f"pattern step qubit {step.qubit!r} is not present")
     if pattern.output not in current:
         raise ValueError("pattern output qubit is not present")
-    if forced is not None and len(forced) != len(pattern.steps):
+    if len(forced) != len(pattern.steps):
         raise ValueError(f"expected {len(pattern.steps)} forced outcomes")
 
     outcomes: dict = {}
@@ -142,17 +141,17 @@ def run_pattern(state: DensityMatrix | LossState, pattern: MeasurementPattern,
         flip_x = _parity(outcomes, step.x_from)
         alpha = -step.alpha if flip_x and step.basis == "b" else step.alpha
         flip = flip_x if step.basis == "z" else _parity(outcomes, step.z_from)
-        want = forced[i] ^ flip if forced is not None else None
+        want = forced[i] ^ flip
         try:
-            out, state, p = measure(state, current.index(step.qubit), step.basis,
-                                    alpha=alpha, forced=want, rng=rng)
+            state, p = measure(state, current.index(step.qubit), step.basis,
+                               forced=want, alpha=alpha)
         except ZeroProbabilityBranch:
             # name the requested bit, not the relabelled one measure saw
             relabel = f" (measured as {want} after feedforward)" if flip else ""
             raise ZeroProbabilityBranch(f"forced outcome {forced[i]} on qubit {step.qubit!r} "
                                         f"has zero probability{relabel}") from None
         current.remove(step.qubit)
-        outcomes[step.qubit] = out ^ flip
+        outcomes[step.qubit] = forced[i]
         probability *= p
 
     if isinstance(state, LossState):   # the pattern had no X or B(alpha) step
@@ -207,7 +206,7 @@ def pattern_branches(state: DensityMatrix | LossState, pattern: MeasurementPatte
         except ZeroProbabilityBranch:
             continue
     total = sum(result.probability for _, result in branches)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise NumericalError(f"{where}: branch probabilities sum to {total:.12g}, not 1")
     return branches
 
@@ -284,17 +283,15 @@ def _rotation_setup(lost: str, alpha: float, noise: NoiseSpec | None,
 
 
 def loss_tolerant_rotation(lost: str, alpha: float, noise: NoiseSpec | None = None, *,
-                           forced: Sequence[int] | None = None,
-                           rng: np.random.Generator | None = None) -> OneWayResult:
-    """Run the single-qubit rotation on phi5 with one photon lost.
+                           forced: Sequence[int]) -> OneWayResult:
+    """Run one branch of the single-qubit rotation on phi5 with one photon lost.
 
     Erases the lost photon, runs the adaptive lab-basis pattern for the case,
     and compares the readout photon against ``rotation_target(alpha)``.
     ``forced`` fixes the (helper, redundant, rotation) outcome bits.
     """
     rho, pattern, labels = _rotation_setup(lost, alpha, noise)
-    return run_pattern(rho, pattern, labels, forced=forced, rng=rng,
-                       target=rotation_target(alpha))
+    return run_pattern(rho, pattern, labels, forced=forced, target=rotation_target(alpha))
 
 
 def rotation_sweep(cases: Sequence[str], alphas: Sequence[float],

@@ -59,7 +59,7 @@ class LogicalInput:
 
     def __post_init__(self) -> None:
         norm = abs(self.a0) ** 2 + abs(self.a1) ** 2
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"input amplitudes are not normalized (|.|^2 = {norm})")
 
     @classmethod

@@ -11,8 +11,9 @@ Conventions used throughout the package:
 - ``Rz(alpha) = diag(exp(-i alpha/2), exp(+i alpha/2))``.
 
 All state objects are immutable; every operation returns a new value, so
-values can be shared freely across threads.  Randomized operations take an
-explicit ``numpy.random.Generator`` (usually derived from :class:`Seed`).
+values can be shared freely across threads.  ``measure`` is told its outcome
+(``forced``); only ``tomography``'s count sampling draws random numbers, from
+a generator of :class:`Seed`.  Every check is written so that a NaN fails it.
 
 Validation happens once, at the boundary.  The public ``StateVector(...)``
 and ``DensityMatrix(...)`` constructors copy their input and check its
@@ -116,7 +117,7 @@ class StateVector:
                 f"expected {2 ** self.n_qubits}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:
             raise ValueError(f"state vector is not normalized (norm {norm})")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -129,24 +130,23 @@ class StateVector:
             raise ValueError("amplitude vector length must be a power of two")
         if normalize:
             norm = np.linalg.norm(arr)
-            if norm < 1e-15:
-                raise ValueError("cannot normalize the zero vector")
+            if not 1e-15 <= norm < math.inf:
+                raise ValueError(f"cannot normalize a vector of norm {norm}")
             arr = arr / norm
         return cls(n, arr)
 
     @classmethod
     def basis_state(cls, n_qubits: int, bits: Union[int, str, Sequence[int]]) -> "StateVector":
-        """Computational basis ket; ``bits`` may be an index, bitstring or bit list."""
-        if isinstance(bits, str):
-            index = int(bits, 2)
-        elif isinstance(bits, int):
-            index = bits
-        else:
-            index = 0
-            for b in bits:
-                index = (index << 1) | int(b)
+        """Computational basis ket of an index in [0, 2^n), or of n bits (bitstring or list)."""
+        if not isinstance(bits, int):
+            digits = list(bits)
+            if len(digits) != n_qubits or any(b not in (0, 1, "0", "1") for b in digits):
+                raise ValueError(f"basis bits {bits!r} are not {n_qubits} bits of 0 or 1")
+            bits = sum(int(b) << (n_qubits - 1 - k) for k, b in enumerate(digits))
+        if not 0 <= bits < 2 ** n_qubits:
+            raise ValueError(f"basis index {bits} out of range for {n_qubits} qubits")
         amps = np.zeros(2 ** n_qubits, dtype=complex)
-        amps[index] = 1.0
+        amps[bits] = 1.0
         return cls(n_qubits, amps)
 
     def amplitude(self, bits: Union[int, str]) -> complex:
@@ -173,7 +173,7 @@ class NumericalError(ValueError):
 
 def _check_trace(mat: np.ndarray) -> None:
     tr = complex(mat.trace())
-    if abs(tr - 1.0) > 1e-8:
+    if not abs(tr - 1.0) <= 1e-8:
         raise NumericalError(f"density matrix has trace {tr}, expected 1")
 
 
@@ -411,7 +411,6 @@ class ZeroProbabilityBranch(NumericalError):
 
 
 class MeasurementResult(NamedTuple):
-    outcome: int
     state: DensityMatrix | LossState
     probability: float
 
@@ -437,9 +436,9 @@ def basis_vectors(basis: str, alpha: float | None = None) -> tuple[np.ndarray, n
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _kept_blocks(rho: DensityMatrix, qubit: int, basis: str, alpha: float | None,
-                 outcomes: Sequence[int]) -> tuple[float, list[tuple[np.ndarray, float]]]:
-    """Each outcome's kept state <o|rho|o> as ``weight * block``, and its trace.
+def _kept_block(rho: DensityMatrix, qubit: int, basis: str, alpha: float | None,
+                outcome: int) -> tuple[float, np.ndarray, float]:
+    """The kept state <o|rho|o> of ``outcome`` as ``weight * block``, and its trace.
 
     ``block`` is a fresh matrix.  ``rho`` is viewed as ``t[a, i, b, c, j, d]``
     with ``i``, ``j`` the measured qubit, so a Z outcome is the slice
@@ -455,7 +454,7 @@ def _kept_blocks(rho: DensityMatrix, qubit: int, basis: str, alpha: float | None
     t = rho.matrix.reshape(high, 2, low, high, 2, low)
     if basis == "z":
         weight = 1.0
-        blocks = [np.array(t[:, o, :, :, o, :]) for o in outcomes]
+        block = np.array(t[:, outcome, :, :, outcome, :])
     else:
         weight = 0.5
         diag = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
@@ -465,23 +464,20 @@ def _kept_blocks(rho: DensityMatrix, qubit: int, basis: str, alpha: float | None
             phase = np.exp(1j * alpha)
             coh = phase * t[:, 0, :, :, 1, :]
             coh += np.conj(phase) * t[:, 1, :, :, 0, :]
-        combine = (np.add, np.subtract)
-        blocks = [combine[o](diag, coh) for o in outcomes[:-1]]
-        blocks.append(combine[outcomes[-1]](diag, coh, out=diag))  # the last reuses diag
-    blocks = [block.reshape(dim, dim) for block in blocks]
+        block = (np.add, np.subtract)[outcome](diag, coh, out=diag)
+    block = block.reshape(dim, dim)
     # a power-of-two weight scales every partial sum of the trace exactly
-    return weight, [(block, weight * float(block.trace().real)) for block in blocks]
+    return weight, block, weight * float(block.trace().real)
 
 
 def measure(rho: DensityMatrix | LossState, qubit: int, basis: str = "z", *,
-            alpha: float | None = None, forced: int | None = None,
-            rng: np.random.Generator | None = None) -> MeasurementResult:
-    """Projectively measure one qubit and remove it from the state.
+            forced: int, alpha: float | None = None) -> MeasurementResult:
+    """Project one qubit onto the ``forced`` outcome and remove it from the state.
 
-    The outcome is drawn from ``rng`` unless ``forced`` selects a branch
-    explicitly; forcing a branch of (numerically) zero probability raises.
-    Outcome 0 corresponds to the first basis vector.  A ``LossState`` stays
-    factored through a Z outcome; an X or B(alpha) outcome forms its matrix.
+    Outcome 0 corresponds to the first basis vector.  Forcing an outcome of
+    (numerically) zero probability raises :class:`ZeroProbabilityBranch`.
+    A ``LossState`` stays factored through a Z outcome; an X or B(alpha)
+    outcome forms its matrix.
     """
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {rho.n_qubits} qubits")
@@ -490,28 +486,17 @@ def measure(rho: DensityMatrix | LossState, qubit: int, basis: str = "z", *,
         raise ValueError(f"unknown basis {basis!r}")
     if name == "b" and alpha is None:
         raise ValueError("B(alpha) basis requires alpha")
-    if forced is not None and forced not in (0, 1):
+    if forced not in (0, 1):
         raise ValueError("forced outcome must be 0 or 1")
-    if forced is None and rng is None:
-        raise ValueError("measure needs either an rng or a forced outcome")
-    outcomes = (0, 1) if forced is None else (forced,)
     if isinstance(rho, LossState) and name != "z":
         rho = rho.density()
     factored = isinstance(rho, LossState)
-    weight, kept = ((1.0, [rho._z_rows(qubit, o) for o in outcomes]) if factored
-                    else _kept_blocks(rho, qubit, name, alpha, outcomes))
-    if forced is not None:
-        outcome, ((mat, prob),) = forced, kept
-        if prob < _ZERO_PROB:
-            raise ZeroProbabilityBranch(
-                f"forced outcome {forced} has zero probability ({prob:.3e})"
-            )
-    else:
-        (m0, p0), (m1, p1) = kept
-        outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
-        mat, prob = (m0, m1)[outcome], (p0, p1)[outcome]
+    weight, mat, prob = ((1.0, *rho._z_rows(qubit, forced)) if factored
+                         else _kept_block(rho, qubit, name, alpha, forced))
+    if not prob >= _ZERO_PROB:
+        raise ZeroProbabilityBranch(f"forced outcome {forced} has zero probability ({prob:.3e})")
     if factored:
-        return MeasurementResult(outcome, rho._without(qubit, mat, prob), prob)
+        return MeasurementResult(rho._without(qubit, mat, prob), prob)
     # One real multiply of the float64 view.  numpy divides by a complex
     # with zero imaginary part as (re + im * 0) * (1 / prob), so this gives
     # the bits of ``weight * block / prob`` up to the sign of a zero.  The
@@ -521,7 +506,7 @@ def measure(rho: DensityMatrix | LossState, qubit: int, basis: str = "z", *,
     mat = np.ascontiguousarray(mat)
     real = mat.view(np.float64)
     real *= weight * (1.0 / prob)
-    return MeasurementResult(outcome, DensityMatrix._trusted(rho.n_qubits - 1, mat), prob)
+    return MeasurementResult(DensityMatrix._trusted(rho.n_qubits - 1, mat), prob)
 
 
 @lru_cache(maxsize=None)

@@ -11,10 +11,11 @@ traces the lost qubits out of a density matrix that a caller already holds.
 
 A recovery plan is a ``cluster.MeasurementPattern`` on the survivors, so it
 runs on the same engine as the one-way rotation: ``execute_recovery`` runs
-one branch through ``cluster.run_pattern`` and ``recovery_sweep`` runs every
-branch through ``cluster.pattern_branches``.  The plan measures every
-surviving qubit except one target, and the feedforward word is the
-pattern's output frame on the target:
+the one branch its forced outcome bits name through ``cluster.run_pattern``,
+and ``recovery_sweep`` runs every branch through
+``cluster.pattern_branches``.  The plan measures every surviving qubit
+except one target, and the feedforward word is the pattern's output frame
+on the target:
 
 - every non-target block is removed by Z-measuring all of its survivors;
   each such block contributes one representative outcome (its survivors are
@@ -35,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .cluster import (BranchRow, MeasurementPattern, OneWayResult, PatternStep, pattern_branches,
                       run_pattern)
@@ -131,20 +130,17 @@ def best_effort_plan(params: CodeParams, pattern: LossPattern,
     return _build_plan(params, pattern, target)
 
 
-def execute_recovery(rho: DensityMatrix, plan: MeasurementPattern, *,
-                     reference: LogicalInput | None = None,
-                     forced: Sequence[int] | None = None,
-                     rng: np.random.Generator | None = None) -> OneWayResult:
-    """Run a recovery plan on the post-loss state.
+def execute_recovery(rho: DensityMatrix, plan: MeasurementPattern, *, forced: Sequence[int],
+                     reference: LogicalInput | None = None) -> OneWayResult:
+    """Run one branch of a recovery plan on the post-loss state.
 
     ``rho`` must hold exactly the surviving qubits, ascending by original
-    index.  ``forced`` selects outcome bits in step order (all Z
-    measurements, then all X measurements); otherwise outcomes are sampled
-    from ``rng``.  The result's ``byproduct`` is the feedforward word and
-    its ``fidelity`` is taken against ``reference``.
+    index.  ``forced`` gives the branch's outcome bits in step order (all Z
+    measurements, then all X measurements).  The result's ``byproduct`` is
+    the feedforward word and its ``fidelity`` is taken against ``reference``.
     """
     target = reference.statevector() if reference is not None else None
-    return run_pattern(rho, plan, _survivors(plan), forced=forced, rng=rng, target=target)
+    return run_pattern(rho, plan, _survivors(plan), forced=forced, target=target)
 
 
 def shot_sigma(fidelity: float, shots: int) -> float:

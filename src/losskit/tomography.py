@@ -359,6 +359,12 @@ def group_settings(decomp: PauliDecomposition) -> list[Setting]:
     return [Setting(bases) for bases in sorted(chosen)]
 
 
+def _check_counts(counts: np.ndarray) -> None:
+    """Raise unless every count lies in [0, MAX_SHOTS]; a NaN fails both bounds."""
+    if not ((counts >= 0) & (counts <= MAX_SHOTS)).all():
+        raise ValueError(f"each count must lie in [0, {MAX_SHOTS}], got {counts.tolist()}")
+
+
 @dataclass(frozen=True)
 class CountsTable:
     """Outcome histogram of one measurement setting."""
@@ -372,7 +378,8 @@ class CountsTable:
         k = len(self.setting.bases)
         if counts.shape != (2 ** k,):
             raise ValueError(f"expected {2 ** k} outcome bins, got {counts.shape}")
-        if abs(counts.sum() - self.shots) > 1e-6:
+        _check_counts(counts)
+        if not abs(counts.sum() - self.shots) <= 1e-6:
             raise ValueError("counts do not sum to the shot count")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
@@ -536,5 +543,6 @@ def read_counts_csv(path: str) -> list[CountsTable]:
         counts = np.zeros(2 ** k)
         for outcome, count in outcome_map.items():
             counts[int(outcome, 2)] = count
+        _check_counts(counts)   # before the shot count is rounded from the sum
         tables.append(CountsTable(Setting(bases), int(round(counts.sum())), counts))
     return tables

@@ -155,7 +155,7 @@ class TestConfigParsing:
                 assert "config field 'shots'" in result.output
                 assert isinstance(result.exception, SystemExit)
 
-    @pytest.mark.parametrize("angle", ["pi/0", "inf", "nan", "1e400"])
+    @pytest.mark.parametrize("angle", ["pi/0", "inf", "nan", "1e400", "--1", "-+1"])
     def test_bad_angle_exits_2(self, tmp_path, angle):
         cfg = write_cfg(tmp_path, "bad.cfg", f"alphas = 0, {angle}\n")
         result = run_cli(["oneway", "--config", cfg])
@@ -183,7 +183,8 @@ BAD_VALUES = {
         lambda t: t.strip() not in ("csv", "json"))),
     "inputs": (ALL, st.sampled_from(["NOPE", "V,X", "v", "PLUS,R,phi5", "V,V", "R,PLUS,R"])),
     "dephase_pairs": (ALL, st.sampled_from(["0:9", "0:0", "a:b", "1-2", "0:1:2", "-1:2"])),
-    "alphas": (ALL, st.sampled_from(["pi/0", "inf", "nan", "1e400", "abc", "1/pi", "0,2pi3"])),
+    "alphas": (ALL, st.sampled_from(["pi/0", "inf", "nan", "1e400", "abc", "1/pi", "0,2pi3",
+                                     "--1", "-+1"])),
     "lost": (("recover", "oneway"),
              st.sampled_from(["9", "-1", "1,1", "photon3", ",", "photon2,photon2"])),
     "force_branch": (ALL, st.sampled_from(["2", "ab", "0101", "0", "0 1 2"])),

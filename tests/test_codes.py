@@ -86,6 +86,13 @@ class TestEncode:
         with pytest.raises(ValueError):
             LogicalInput(1.0, 1.0)
 
+    def test_nan_amplitude_raises(self):
+        for a0, a1 in ((math.nan, 0.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="not normalized"):
+                LogicalInput(a0, a1)
+            with pytest.raises(ValueError, match="not normalized"):
+                LogicalInput.normalized(a0, a1)
+
 
 class TestEncodeCircuit:
     def test_zero_input_matches_logical_zero(self):

@@ -1,6 +1,7 @@
 """Loss-and-recovery tests: erasure, plans, feedforward execution, sweeps."""
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from losskit.codes import CodeParams, LogicalInput, PRESETS, encode
 from losskit import cluster
 from losskit.cluster import pattern_branches
-from losskit.qsim import (DensityMatrix, NoiseSpec, Seed, StateVector, ZeroProbabilityBranch,
-                          apply_channel, apply_gate, fidelity_pure, post_loss_state)
+from losskit.qsim import (NoiseSpec, NumericalError, StateVector, ZeroProbabilityBranch,
+                          apply_channel, post_loss_state)
 from losskit.recovery import (
     LossPattern,
     best_effort_plan,
@@ -191,29 +192,6 @@ class TestExecuteRecovery:
                     rec = execute_recovery(reduced, plan, reference=inp, forced=bits)
                     assert abs(rec.fidelity - 1) < 1e-9
 
-    def test_branch_average_consistency_with_sampling(self):
-        # probability-weighted forced-branch average vs rng-sampled estimate
-        rng0 = np.random.default_rng(12)
-        junk = StateVector.from_amplitudes(
-            rng0.normal(size=16) + 1j * rng0.normal(size=16), normalize=True)
-        psi = encode(PRESETS["R"], P22)
-        mixed = DensityMatrix(4, 0.75 * psi.density().matrix + 0.25 * junk.density().matrix)
-        reduced = erase(mixed, LossPattern({0}))
-        plan = plan_recovery(P22, LossPattern({0}))
-        weighted = 0.0
-        for bits in all_branches(plan):
-            rec = execute_recovery(reduced, plan, reference=PRESETS["R"], forced=bits)
-            weighted += rec.probability * rec.fidelity
-        seed = Seed(99)
-        shots = 10000
-        samples = np.array([
-            execute_recovery(reduced, plan, reference=PRESETS["R"],
-                             rng=seed.stream(i)).fidelity
-            for i in range(shots)
-        ])
-        stderr = samples.std(ddof=1) / math.sqrt(shots)
-        assert abs(weighted - samples.mean()) < max(3 * stderr, 1e-9)
-
     def test_monotone_in_white_noise(self):
         plan = plan_recovery(P22, LossPattern({1}))
         psi = encode(PRESETS["R"], P22)
@@ -309,6 +287,16 @@ class TestRecoverySweep:
         monkeypatch.setattr(cluster, "run_pattern", never)
         with pytest.raises(ValueError, match="input PLUS, lost qubit 2: branch probabilities"):
             recovery_sweep([PRESETS["PLUS"]], P22, losses=[2])
+
+    def test_a_nan_probability_fails_the_sum_check(self, monkeypatch):
+        real = cluster.run_pattern
+
+        def nan_branch(*args, **kwargs):
+            return replace(real(*args, **kwargs), probability=math.nan)
+
+        monkeypatch.setattr(cluster, "run_pattern", nan_branch)
+        with pytest.raises(NumericalError, match="lost qubit 0: branch probabilities sum to nan"):
+            recovery_sweep([PRESETS["V"]], P22, losses=[0])
 
 
 @st.composite

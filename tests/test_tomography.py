@@ -331,6 +331,12 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             CountsTable(Setting(("Z",)), 10, np.array([3.0, 4.0]))
 
+    @pytest.mark.parametrize("counts", [[20.0, -10.0], [math.nan, 10.0], [math.inf, 10.0],
+                                        [1e308, 1e308]])
+    def test_counts_must_be_finite_and_non_negative(self, counts):
+        with pytest.raises(ValueError, match="each count must lie in"):
+            CountsTable(Setting(("Z",)), 10, np.array(counts))
+
 
 REFERENCE_STATES = {
     "V": lambda: encode(PRESETS["V"], P22),
@@ -489,6 +495,17 @@ def test_exact_estimate_bits_are_pinned(name):
 
 
 class TestCountsCsv:
+    @pytest.mark.parametrize("count", ["-10", "nan", "inf", "-inf"])
+    def test_a_doctored_count_raises(self, tmp_path, count):
+        # 20 and -10 sum to a plausible 10 shots
+        path = tmp_path / "counts.csv"
+        write_counts_csv([CountsTable(Setting(("Z",)), 20, np.array([20.0, 0.0]))], str(path))
+        text = path.read_text()
+        assert "Z,1,0" in text
+        path.write_text(text.replace("Z,1,0", f"Z,1,{count}"))
+        with pytest.raises(ValueError, match="each count must lie in"):
+            read_counts_csv(str(path))
+
     def test_round_trip(self, tmp_path):
         for name in ("V", "PLUS", "phi5"):
             psi = REFERENCE_STATES[name]()
